@@ -6,29 +6,23 @@
 //! * `eventdriven`  — event-driven synaptic update vs looping over all
 //!   synapses each tick (§III, "the event-based update loop is
 //!   significantly more efficient").
-//! * `aggregation`  — Compass's pairwise spike aggregation vs a global
-//!   per-spike-locked queue.
 //! * `routing`      — dimension-order routing vs a (deadlock-prone)
 //!   random-turn alternative: hop counts are equal, but load
 //!   concentration differs.
 //! * `placement`    — corelet placement optimization: wiring cost and
 //!   mesh-hop energy before/after the swap-based placer.
-//! * `fastpath`     — the event-driven kernel fast paths (quiescence
-//!   skip, type-grouped popcount + profile dedup, SoA branch-free
-//!   neuron sweep) ablated one tier at a time; all variants are
-//!   bit-exact, only host speed changes.
-//! * `pool`         — the persistent worker pool vs spawning threads on
-//!   every `run()` call (the served-session single-tick access pattern).
 //!
-//! Usage: `ablation [traffic|eventdriven|aggregation|routing|placement|fastpath|pool|all]`
+//! The kernel fast-path, worker-pool and spike-aggregation ablations are
+//! decided; their recorded tables (`results/ablation.txt`, measured at
+//! 7d9733e) are historical and the switches they toggled are gone.
+//! `tn-bench kernel` still measures fast path on against off.
+//!
+//! Usage: `ablation [traffic|eventdriven|routing|placement|all]`
 
 use std::time::Instant;
-use tn_apps::recurrent::{build_recurrent, RecurrentParams};
 use tn_bench::table::fmt_sig;
 use tn_bench::Table;
-use tn_compass::{AggregationMode, ParallelSim, PoolMode, ReferenceSim};
-use tn_core::network::NullSource;
-use tn_core::{Crossbar, FastPathConfig, NEURONS_PER_CORE};
+use tn_core::{Crossbar, NEURONS_PER_CORE};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -38,130 +32,12 @@ fn main() {
     if which == "eventdriven" || which == "all" {
         eventdriven();
     }
-    if which == "aggregation" || which == "all" {
-        aggregation();
-    }
     if which == "routing" || which == "all" {
         routing();
     }
     if which == "placement" || which == "all" {
         placement();
     }
-    if which == "fastpath" || which == "all" {
-        fastpath();
-    }
-    if which == "pool" || which == "all" {
-        pool();
-    }
-}
-
-/// The kernel fast paths, one tier at a time, on the (20 Hz, 128 syn)
-/// characterization point. Every row ends in the identical state digest;
-/// the BENCH_kernel.json gate (`tn-bench --bin kernel`) enforces that.
-fn fastpath() {
-    println!("\n== ablation: event-driven kernel fast paths ==");
-    let p = RecurrentParams {
-        rate_hz: 20.0,
-        synapses: 128,
-        cores_x: 16,
-        cores_y: 16,
-        seed: 0xFA57,
-    };
-    let ticks = 60;
-    let mut t = Table::new(&["variant", "ms_per_tick", "x_vs_scalar", "state_digest"]);
-    let mut scalar_spt = 0.0;
-    for (name, cfg) in [
-        ("scalar (no fast paths)", FastPathConfig::scalar()),
-        (
-            "no quiescence skip",
-            FastPathConfig {
-                quiescence: false,
-                popcount: true,
-                soa: true,
-            },
-        ),
-        (
-            "no popcount kernel",
-            FastPathConfig {
-                quiescence: true,
-                popcount: false,
-                soa: true,
-            },
-        ),
-        (
-            "no soa sweep",
-            FastPathConfig {
-                quiescence: true,
-                popcount: true,
-                soa: false,
-            },
-        ),
-        ("full fast path", FastPathConfig::default()),
-    ] {
-        let mut sim = ReferenceSim::new(build_recurrent(&p));
-        sim.network_mut().set_fastpath(cfg);
-        sim.run(16, &mut NullSource);
-        let start = Instant::now();
-        sim.run(ticks, &mut NullSource);
-        let spt = start.elapsed().as_secs_f64() / ticks as f64;
-        if scalar_spt == 0.0 {
-            scalar_spt = spt;
-        }
-        t.row(vec![
-            name.into(),
-            fmt_sig(spt * 1e3),
-            fmt_sig(scalar_spt / spt),
-            format!("{:#x}", sim.network().state_digest()),
-        ]);
-    }
-    t.print();
-    println!("(identical digests: the fast paths are bit-exact, not approximations)");
-}
-
-/// Persistent pool vs per-run spawning, driven the way a served session
-/// drives the simulator: one run() call per tick.
-fn pool() {
-    println!("\n== ablation: persistent worker pool vs per-run spawn ==");
-    let p = RecurrentParams {
-        rate_hz: 20.0,
-        synapses: 64,
-        cores_x: 8,
-        cores_y: 8,
-        seed: 0xB001,
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2);
-    let ticks = 200u64;
-    let mut t = Table::new(&["pool", "threads", "us_per_single_tick_run", "x_slowdown"]);
-    let mut base = 0.0;
-    for (name, mode) in [
-        ("persistent", PoolMode::Persistent),
-        ("spawn per run", PoolMode::PerRun),
-    ] {
-        let mut sim = ParallelSim::with_options(
-            build_recurrent(&p),
-            threads,
-            AggregationMode::Pairwise,
-            mode,
-        );
-        sim.run(16, &mut NullSource);
-        let start = Instant::now();
-        for _ in 0..ticks {
-            sim.run(1, &mut NullSource);
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / ticks as f64;
-        if base == 0.0 {
-            base = us;
-        }
-        t.row(vec![
-            name.into(),
-            threads.to_string(),
-            fmt_sig(us),
-            fmt_sig(us / base),
-        ]);
-    }
-    t.print();
 }
 
 /// Placement optimization: how much NoC traffic does layout cost?
@@ -223,9 +99,11 @@ fn placement() {
     ]);
     t.row(vec![
         "NoC hop energy (uJ/100 ticks)".into(),
-        fmt_sig(bad.energy_realtime().hop_j * 1e6),
-        fmt_sig(good.energy_realtime().hop_j * 1e6),
-        fmt_sig(bad.energy_realtime().hop_j / good.energy_realtime().hop_j.max(1e-18)),
+        fmt_sig(bad.policy().energy_realtime().hop_j * 1e6),
+        fmt_sig(good.policy().energy_realtime().hop_j * 1e6),
+        fmt_sig(
+            bad.policy().energy_realtime().hop_j / good.policy().energy_realtime().hop_j.max(1e-18),
+        ),
     ]);
     t.print();
 }
@@ -310,42 +188,6 @@ fn eventdriven() {
     }
     t.print();
     println!("(neurons fire sparsely — a few Hz — so the typical tick has few active axons)");
-}
-
-/// Compass's pairwise aggregation vs a global spike queue.
-fn aggregation() {
-    println!("\n== ablation: pairwise spike aggregation vs global queue ==");
-    let p = RecurrentParams {
-        rate_hz: 100.0,
-        synapses: 64,
-        cores_x: 16,
-        cores_y: 16,
-        seed: 0xA6,
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
-    let ticks = 150;
-    let mut t = Table::new(&["scheme", "threads", "s_per_tick", "x_slowdown"]);
-    let mut base = 0.0;
-    for (name, mode) in [
-        ("pairwise (Compass)", AggregationMode::Pairwise),
-        ("global queue", AggregationMode::GlobalQueue),
-    ] {
-        let mut sim = ParallelSim::with_mode(build_recurrent(&p), threads, mode);
-        sim.run(ticks, &mut NullSource);
-        let spt = sim.stats().seconds_per_tick();
-        if base == 0.0 {
-            base = spt;
-        }
-        t.row(vec![
-            name.into(),
-            threads.to_string(),
-            fmt_sig(spt),
-            fmt_sig(spt / base),
-        ]);
-    }
-    t.print();
 }
 
 /// Dimension-order vs random-turn routing: same Manhattan hops, but

@@ -5,7 +5,7 @@
 //! all three engine expressions (reference, parallel, chip), once with
 //! the event-driven fast paths enabled and once forced down the scalar
 //! path, and emits a machine-readable `BENCH_kernel.json`
-//! (`tn-bench/kernel/v2`: thread counts live on each engine row, since
+//! (`tn-bench/kernel/v3`: thread counts live on each engine row, since
 //! only the parallel engine is thread-dependent, and `--threads` takes a
 //! comma-separated sweep producing one row pair per count).
 //!
@@ -16,35 +16,25 @@
 //! to gate on — and becomes a hard gate (exit 1 when the fast path
 //! fails to win) only under `--strict`.
 //!
-//! Usage: `kernel [--quick] [--ticks N] [--threads N[,N...]]
-//!                [--no-quiescence] [--no-popcount] [--no-soa]
-//!                [--no-pool] [--strict] [--out PATH]`
+//! Usage: `kernel [--quick] [--ticks N] [--threads N[,N...]] [--strict]
+//!                [--out PATH]`
 //!
 //! * `--quick` — 16×16-core grid and fewer ticks (CI smoke mode).
 //! * `--strict` — also fail (exit 1) if the fast path does not beat the
 //!   scalar path; for dedicated perf hosts, not CI smoke.
-//! * `--no-quiescence` / `--no-popcount` / `--no-soa` — ablate one
-//!   fast-path tier (the "fastpath" rows then measure the remaining
-//!   tiers).
 //! * `--threads 1,2,8` — sweep the parallel engine over these thread
 //!   counts (reference and chip are single-threaded and measured once).
-//! * `--no-pool` — spawn the parallel worker pool per run instead of
-//!   reusing it (the pool ablation).
 
 use std::time::Instant;
 use tn_apps::recurrent::{build_recurrent, RecurrentParams};
-use tn_compass::{ParallelSim, PoolMode, ReferenceSim};
+use tn_compass::{ParallelSim, ReferenceSim};
 use tn_core::network::NullSource;
-use tn_core::{FastPathConfig, Network};
+use tn_core::Network;
 
 struct Args {
     quick: bool,
     ticks: u64,
     threads: Vec<usize>,
-    quiescence: bool,
-    popcount: bool,
-    soa: bool,
-    pool: PoolMode,
     strict: bool,
     out: String,
 }
@@ -56,10 +46,6 @@ fn parse_args() -> Args {
         threads: vec![std::thread::available_parallelism()
             .map(|n| n.get().min(8))
             .unwrap_or(1)],
-        quiescence: true,
-        popcount: true,
-        soa: true,
-        pool: PoolMode::Persistent,
         strict: false,
         out: "BENCH_kernel.json".into(),
     };
@@ -79,11 +65,6 @@ fn parse_args() -> Args {
                     "--threads needs positive counts"
                 );
             }
-            "--no-quiescence" => a.quiescence = false,
-            "--no-popcount" => a.popcount = false,
-            "--no-soa" => a.soa = false,
-            "--pool" => a.pool = PoolMode::Persistent,
-            "--no-pool" => a.pool = PoolMode::PerRun,
             "--strict" => a.strict = true,
             "--out" => a.out = it.next().expect("--out PATH"),
             other => {
@@ -98,7 +79,7 @@ fn parse_args() -> Args {
     a
 }
 
-/// One engine × thread-count × fast-path-config measurement.
+/// One engine × thread-count × fast-path on/off measurement.
 struct Row {
     engine: &'static str,
     threads: usize,
@@ -115,7 +96,6 @@ fn measure(
     threads: usize,
     fast: bool,
     net: Network,
-    cfg: FastPathConfig,
     args: &Args,
     warmup: u64,
 ) -> Row {
@@ -123,7 +103,7 @@ fn measure(
     let (wall, sops, digest) = match engine {
         "reference" => {
             let mut sim = ReferenceSim::new(net);
-            sim.network_mut().set_fastpath(cfg);
+            sim.network_mut().set_fastpath(fast);
             sim.run(warmup, &mut NullSource);
             let sops0 = sim.stats().totals.sops;
             let t0 = Instant::now();
@@ -136,13 +116,8 @@ fn measure(
             )
         }
         "parallel" => {
-            let mut sim = ParallelSim::with_options(
-                net,
-                threads,
-                tn_compass::AggregationMode::Pairwise,
-                args.pool,
-            );
-            sim.network_mut().set_fastpath(cfg);
+            let mut sim = ParallelSim::new(net, threads);
+            sim.network_mut().set_fastpath(fast);
             sim.run(warmup, &mut NullSource);
             let sops0 = sim.stats().totals.sops;
             let t0 = Instant::now();
@@ -156,7 +131,7 @@ fn measure(
         }
         "chip" => {
             let mut sim = tn_chip::TrueNorthSim::new(net);
-            sim.network_mut().set_fastpath(cfg);
+            sim.network_mut().set_fastpath(fast);
             sim.run(warmup, &mut NullSource);
             let sops0 = sim.stats().totals.sops;
             let t0 = Instant::now();
@@ -205,12 +180,6 @@ fn main() {
         RecurrentParams::full_chip(20.0, 128, 0xBE2C)
     };
     let warmup = if args.quick { 4 } else { 8 };
-    let fast_cfg = FastPathConfig {
-        quiescence: args.quiescence,
-        popcount: args.popcount,
-        soa: args.soa,
-    };
-    let scalar_cfg = FastPathConfig::scalar();
 
     eprintln!(
         "kernel bench: {}x{} cores, (20 Hz, 128 syn), {} warmup + {} measured ticks, threads {:?}",
@@ -227,13 +196,12 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &(engine, threads) in &plan {
-        for (fast, cfg) in [(true, fast_cfg), (false, scalar_cfg)] {
+        for fast in [true, false] {
             let row = measure(
                 engine,
                 threads,
                 fast,
                 build_recurrent(&params),
-                cfg,
                 &args,
                 warmup,
             );
@@ -280,10 +248,10 @@ fn main() {
         speedups.push((engine, threads, x));
     }
 
-    // Emit BENCH_kernel.json (schema v2: per-row threads, speedup list).
+    // Emit BENCH_kernel.json (schema v3: per-row threads, speedup list).
     let mut j = String::new();
     j.push_str("{\n");
-    j.push_str("  \"schema\": \"tn-bench/kernel/v2\",\n");
+    j.push_str("  \"schema\": \"tn-bench/kernel/v3\",\n");
     j.push_str("  \"bench\": \"kernel\",\n");
     j.push_str(&format!(
         "  \"network\": {{\"rate_hz\": 20.0, \"synapses\": 128, \"cores_x\": {}, \"cores_y\": {}, \"neurons\": {}}},\n",
@@ -295,13 +263,6 @@ fn main() {
     j.push_str(&format!(
         "  \"warmup_ticks\": {warmup},\n  \"measure_ticks\": {},\n",
         args.ticks
-    ));
-    j.push_str(&format!(
-        "  \"fastpath_config\": {{\"quiescence\": {}, \"popcount\": {}, \"soa\": {}, \"persistent_pool\": {}}},\n",
-        args.quiescence,
-        args.popcount,
-        args.soa,
-        args.pool == PoolMode::Persistent
     ));
     j.push_str("  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {

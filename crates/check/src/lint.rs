@@ -106,7 +106,9 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            // A nested directory with its own lock file is another
+            // workspace (the stackbench package), not this one's code.
+            if name == "target" || name.starts_with('.') || path.join("Cargo.lock").exists() {
                 continue;
             }
             collect_rs_files(&path, out)?;

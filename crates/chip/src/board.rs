@@ -12,7 +12,7 @@
 use crate::energy::EnergyModel;
 use crate::mesh::LinkAccounting;
 use crate::timing::TimingModel;
-use crate::tnsim::TrueNorthSim;
+use crate::tnsim::{ChipModel, TrueNorthSim};
 use tn_core::{Network, NetworkBuilder, CHIP_CORES_X, CHIP_CORES_Y};
 
 /// A board preset: a tiled chip array plus its support infrastructure.
@@ -100,12 +100,13 @@ impl Board {
     /// network's grid must fit the board.
     pub fn simulator(&self, net: Network, volts: f64) -> TrueNorthSim {
         assert!(self.fits(&net), "network does not fit {}", self.name);
-        TrueNorthSim::with_models(
-            net,
+        let model = ChipModel::new(
+            &net,
             EnergyModel::at_voltage(volts),
             TimingModel::at_voltage(volts),
             LinkAccounting::Exact,
-        )
+        );
+        TrueNorthSim::with_policy(net, model)
     }
 
     /// Total board power given the chip array's power: array + support.

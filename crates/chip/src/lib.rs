@@ -43,5 +43,5 @@ pub use mesh::{DefectMap, LinkAccounting, Mesh};
 pub use router::{route_path, RoutePath};
 pub use stream::{stream_channel, Injector, OfferOutcome, StreamSource};
 pub use timing::TimingModel;
-pub use tnsim::{ChipReport, TrueNorthSim};
+pub use tnsim::{ChipModel, ChipReport, TrueNorthSim};
 pub use voltage::VoltageParams;

@@ -6,13 +6,12 @@
 //! Rust trait — the uniform surface a host (the `tn-serve` runtime, a
 //! test harness, a batch driver) needs to drive *any* expression: step it
 //! tick by tick with injected spikes, read its outputs and statistics,
-//! and checkpoint/restore its dynamic state. `ReferenceSim` and
-//! `ParallelSim` implement it here; the chip simulator implements it in
-//! `tn-chip`.
+//! and checkpoint/restore its dynamic state. [`crate::TickDriver`]
+//! implements it once for the reference and chip engines, `ParallelSim`
+//! here, and the sharded session in `tn-shard`.
 
 use crate::output::SpikeRecord;
 use crate::parallel::ParallelSim;
-use crate::reference::ReferenceSim;
 use std::sync::Arc;
 use tn_core::fault::{FaultCounters, FaultPlan};
 use tn_core::{Network, NetworkSnapshot, RunStats, SpikeSource, TickStats};
@@ -132,8 +131,6 @@ pub fn publish_common<S: KernelSession + ?Sized>(sim: &S, reg: &Registry) {
         ("disabled", tiers.disabled),
         ("quiescent", tiers.quiescent),
         ("soa", tiers.soa),
-        ("split", tiers.split),
-        ("fused", tiers.fused),
         ("scalar", tiers.scalar),
     ] {
         reg.counter_with("tn_fastpath_tier_ticks_total", &[("tier", tier)])
@@ -156,56 +153,6 @@ pub fn publish_common<S: KernelSession + ?Sized>(sim: &S, reg: &Registry) {
 
     if let Some(e) = sim.energy_j() {
         reg.gauge("tn_energy_joules").set(e);
-    }
-}
-
-impl KernelSession for ReferenceSim {
-    fn engine_name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn step(&mut self, src: &mut (dyn SpikeSource + Send)) -> TickStats {
-        ReferenceSim::step(self, src)
-    }
-
-    fn current_tick(&self) -> u64 {
-        ReferenceSim::current_tick(self)
-    }
-
-    fn network(&self) -> &Network {
-        ReferenceSim::network(self)
-    }
-
-    fn outputs(&mut self) -> &mut SpikeRecord {
-        ReferenceSim::outputs(self)
-    }
-
-    fn stats(&self) -> &RunStats {
-        ReferenceSim::stats(self)
-    }
-
-    fn dropped_inputs(&self) -> u64 {
-        ReferenceSim::dropped_inputs(self)
-    }
-
-    fn checkpoint(&mut self) -> NetworkSnapshot {
-        ReferenceSim::checkpoint(self)
-    }
-
-    fn restore(&mut self, snap: &NetworkSnapshot) {
-        ReferenceSim::restore(self, snap)
-    }
-
-    fn attach_faults(&mut self, plan: &FaultPlan) {
-        ReferenceSim::attach_faults(self, plan)
-    }
-
-    fn fault_counters(&self) -> Option<FaultCounters> {
-        self.faults().map(|f| *f.counters())
-    }
-
-    fn set_observer(&mut self, observer: Arc<dyn TickObserver>) {
-        ReferenceSim::set_observer(self, observer)
     }
 }
 
@@ -277,6 +224,7 @@ impl KernelSession for ParallelSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReferenceSim;
     use tn_core::{
         CoreConfig, CoreId, Crossbar, Dest, NetworkBuilder, NeuronConfig, ScheduledSource,
         SpikeTarget,

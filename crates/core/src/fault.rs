@@ -712,13 +712,6 @@ impl FaultState {
         }
     }
 
-    /// Registry-only catch-up for a master state whose cores were
-    /// already mutated elsewhere (parallel workers own the structural
-    /// application).
-    pub fn fast_forward(&mut self, t: u64) {
-        let _ = self.advance(t);
-    }
-
     /// The plan seed this state was compiled with.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -54,7 +54,7 @@ pub mod wire;
 pub use address::{CoreCoord, CoreId, Dest, NeuronId, OutSpike, SpikeTarget};
 pub use crossbar::Crossbar;
 pub use delay::DelayBuffer;
-pub use fastpath::{FastPathConfig, TierCounters};
+pub use fastpath::TierCounters;
 pub use fault::{FaultCounters, FaultEvent, FaultKind, FaultParseError, FaultPlan, FaultState};
 pub use lint::{Diagnostic, DiagnosticSink, LintConfig, Severity, VerifyError};
 pub use network::{

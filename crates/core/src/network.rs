@@ -180,33 +180,13 @@ impl Network {
         &mut self.cores
     }
 
-    /// Split the cores into `n` contiguous mutable partitions for
-    /// thread-parallel execution (the Compass expression). Returns the
-    /// partitions and the core-id offset of each.
-    pub fn partitions(&mut self, n: usize) -> Vec<(u32, &mut [NeurosynapticCore])> {
-        let total = self.cores.len();
-        let n = n.clamp(1, total.max(1));
-        let base = total / n;
-        let extra = total % n;
-        let mut out = Vec::with_capacity(n);
-        let mut rest: &mut [NeurosynapticCore] = &mut self.cores;
-        let mut offset = 0u32;
-        for k in 0..n {
-            let len = base + usize::from(k < extra);
-            let (head, tail) = rest.split_at_mut(len);
-            out.push((offset, head));
-            offset += len as u32;
-            rest = tail;
-        }
-        out
-    }
-
-    /// Toggle the event-driven fast paths on every core (see
-    /// [`crate::fastpath`]). Bit-exact: results never change, only how
-    /// they are computed, so this is safe at any tick boundary.
-    pub fn set_fastpath(&mut self, cfg: crate::fastpath::FastPathConfig) {
+    /// Turn the event-driven fast paths on or off on every core (see
+    /// [`crate::fastpath`]; off selects the scalar reference loop).
+    /// Bit-exact: results never change, only how they are computed, so
+    /// this is safe at any tick boundary.
+    pub fn set_fastpath(&mut self, enabled: bool) {
         for c in &mut self.cores {
-            c.set_fastpath(cfg);
+            c.set_fastpath(enabled);
         }
     }
 
@@ -443,28 +423,6 @@ mod tests {
         let d = b.add_core(CoreConfig::new());
         assert_eq!(d, CoreId(3), "skips explicitly placed slot");
         assert_eq!(b.used_cores(), 4);
-    }
-
-    #[test]
-    fn partitions_cover_all_cores_once() {
-        let mut net = NetworkBuilder::new(8, 8, 0).build();
-        let total = net.num_cores();
-        let parts = net.partitions(7);
-        let mut seen = 0usize;
-        let mut expected_offset = 0u32;
-        for (off, slice) in &parts {
-            assert_eq!(*off, expected_offset);
-            expected_offset += slice.len() as u32;
-            seen += slice.len();
-        }
-        assert_eq!(seen, total);
-    }
-
-    #[test]
-    fn partitions_more_threads_than_cores() {
-        let mut net = NetworkBuilder::new(2, 1, 0).build();
-        let parts = net.partitions(16);
-        assert_eq!(parts.len(), 2);
     }
 
     #[test]

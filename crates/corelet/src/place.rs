@@ -288,7 +288,7 @@ mod tests {
             "placement should cut mesh hops: {good_hops} vs {bad_hops}"
         );
         // ... and therefore NoC energy.
-        assert!(good.energy_realtime().hop_j < bad.energy_realtime().hop_j);
+        assert!(good.policy().energy_realtime().hop_j < bad.policy().energy_realtime().hop_j);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tn_compass::{publish_common, KernelSession, SpikeRecord};
+use tn_compass::{phases, publish_common, KernelSession, SpikeRecord};
 use tn_core::fault::{FaultCounters, FaultPlan, FaultState};
 use tn_core::wire::framed::FrameWriter;
 use tn_core::{
@@ -487,14 +487,10 @@ impl ShardedSession {
         let wall = Instant::now();
 
         // Keep the structural mirror honest (dead cores for health and
-        // tier reporting); drop counting happens on the workers.
-        if let Some(f) = &mut self.mirror_faults {
-            for i in f.advance(t) {
-                let ev = f.events()[i];
-                let id = self.mirror.id_of(ev.coord);
-                FaultState::apply_to_core(&ev, self.mirror.core_mut(id), f.seed());
-            }
-        }
+        // tier reporting); drop counting happens on the workers. The
+        // mirror is never ticked, so the stuck-at-1 deliveries the phase
+        // also makes into its delay rings are inert.
+        phases::faults(t, self.mirror.cores_mut(), 0, self.mirror_faults.as_mut());
 
         // Owner-route external inputs; out-of-grid targets are diagnosed
         // here, exactly once, like every expression does.

@@ -67,7 +67,7 @@ fn chip_board_demo() {
         100.0 * stats.boundary_crossings as f64 / stats.totals.spikes_out.max(1) as f64
     );
 
-    let e = sim.energy_realtime();
+    let e = sim.policy().energy_realtime();
     println!("\nenergy breakdown over the run (real-time operation):");
     println!("  leakage          : {:>9.2} µJ", e.leak_j * 1e6);
     println!("  neuron scan      : {:>9.2} µJ", e.neuron_j * 1e6);

@@ -3,30 +3,26 @@
 //!
 //! ```sh
 //! cargo run --release --example recurrent_characterization \
-//!     [rate_hz] [synapses] [--no-fastpath|--no-quiescence|--no-popcount|--no-soa]
+//!     [rate_hz] [synapses] [--no-fastpath]
 //! ```
 //!
-//! The `--no-*` flags ablate the kernel fast paths (tn_core::fastpath)
-//! so their host-speed contribution at this operating point can be read
-//! directly off the wall-clock line; the simulated chip quantities are
-//! bit-identical either way.
+//! `--no-fastpath` selects the scalar reference loop (tn_core::fastpath)
+//! so the fast paths' host-speed contribution at this operating point
+//! can be read directly off the wall-clock line; the simulated chip
+//! quantities are bit-identical either way.
 
 use tn_apps::recurrent::{build_recurrent, RecurrentParams};
 use tn_chip::TrueNorthSim;
 use tn_core::network::NullSource;
-use tn_core::FastPathConfig;
 
 fn main() {
     let mut rate: f64 = 20.0;
     let mut syn: u32 = 128;
     let mut positional = 0;
-    let mut fp = FastPathConfig::default();
+    let mut fastpath = true;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--no-fastpath" => fp = FastPathConfig::scalar(),
-            "--no-quiescence" => fp.quiescence = false,
-            "--no-popcount" => fp.popcount = false,
-            "--no-soa" => fp.soa = false,
+            "--no-fastpath" => fastpath = false,
             v => {
                 match positional {
                     0 => rate = v.parse().unwrap_or(rate),
@@ -53,7 +49,7 @@ fn main() {
     let net = build_recurrent(&p);
     let neurons = net.num_neurons() as u64;
     let mut sim = TrueNorthSim::new(net);
-    sim.network_mut().set_fastpath(fp);
+    sim.network_mut().set_fastpath(fastpath);
     sim.run(16, &mut NullSource); // warm-up: fill the delay pipelines
     let host = std::time::Instant::now();
     sim.run(64, &mut NullSource);
@@ -62,8 +58,8 @@ fn main() {
     let report = sim.report();
     println!("\nmeasured over 80 ticks (16 warm-up):");
     println!(
-        "  host speed       : {:>8.2} ms/tick (fastpath: quiescence={} popcount={} soa={})",
-        ms_per_tick, fp.quiescence, fp.popcount, fp.soa
+        "  host speed       : {:>8.2} ms/tick (fastpath: {})",
+        ms_per_tick, fastpath
     );
     println!(
         "  mean rate        : {:>8.1} Hz (target {:.1})",

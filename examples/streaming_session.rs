@@ -77,7 +77,7 @@ fn main() {
     let mut sim = TrueNorthSim::new(build_recurrent(&p));
     let mut batch_per_tick = Vec::with_capacity(TICKS as usize);
     for _ in 0..TICKS {
-        let (stats, _) = sim.step(&mut NullSource);
+        let stats = sim.step(&mut NullSource);
         batch_per_tick.push(stats.spikes_out);
     }
 

@@ -1,20 +1,21 @@
 //! Integration: the event-driven fast paths are *bit-exact*.
 //!
-//! The kernel's quiescence skip, type-grouped popcount synapse kernel,
-//! neuron-profile dedup, and structure-of-arrays bitplane sweep
-//! (tn_core::fastpath, tn_core::soa) are pure optimizations: for any
-//! network — saturating weights, stochastic synapses/leak/threshold,
-//! fault plans mutating the crossbar mid-run — every engine must produce
-//! spike-for-spike identical outputs and a byte-identical `state_digest`
-//! with fast paths on and off, at every thread count. Under
+//! The kernel's quiescence skip and structure-of-arrays bitplane sweep
+//! with its event-major synapse scatter (tn_core::fastpath,
+//! tn_core::soa) are pure optimizations: for any network — saturating
+//! weights, stochastic synapses/leak/threshold, fault plans mutating the
+//! crossbar mid-run — every engine must produce spike-for-spike
+//! identical outputs and a byte-identical `state_digest` with the fast
+//! paths on and off (off = the scalar reference loop), at every thread
+//! count. Under
 //! `--features simd` the same suite exercises the AVX2 expression of the
 //! SoA sweep (runtime-detected), which must also be bit-identical.
 
 use tn_chip::TrueNorthSim;
 use tn_compass::{ParallelSim, ReferenceSim};
 use tn_core::{
-    CoreConfig, CoreId, Crossbar, Dest, FastPathConfig, FaultPlan, Network, NetworkBuilder,
-    NeuronConfig, ResetMode, ScheduledSource, SpikeTarget, SplitMix64, POTENTIAL_MAX,
+    CoreConfig, CoreId, Crossbar, Dest, FaultPlan, Network, NetworkBuilder, NeuronConfig,
+    ResetMode, ScheduledSource, SpikeTarget, SplitMix64, POTENTIAL_MAX,
 };
 
 const GRID_W: u16 = 4;
@@ -55,7 +56,7 @@ fn random_dest(rng: &mut SplitMix64, num_cores: usize) -> Dest {
     }
 }
 
-/// Five core archetypes, each stressing a different fast-path tier.
+/// Five core archetypes, each stressing a different part of the dispatch.
 fn random_core(rng: &mut SplitMix64, num_cores: usize, kind: u64) -> CoreConfig {
     let mut cfg = CoreConfig::new();
     for a in 0..256 {
@@ -71,8 +72,8 @@ fn random_core(rng: &mut SplitMix64, num_cores: usize, kind: u64) -> CoreConfig 
                 cfg.neurons[j].dest = random_dest(rng, num_cores);
             }
         }
-        // Uniform stochastic sources with zero weights: the profile-dedup
-        // + all-weights-zero tier (the characterization-net shape).
+        // Uniform stochastic sources with zero weights: the SoA tier's
+        // all-weights-zero SOPS tally (the characterization-net shape).
         1 => {
             let density = rng.below(50);
             *cfg.crossbar =
@@ -98,8 +99,8 @@ fn random_core(rng: &mut SplitMix64, num_cores: usize, kind: u64) -> CoreConfig 
                 cfg.neurons[j] = n;
             }
         }
-        // Many distinct profiles (> the dedup table cap) without
-        // stochastic synapses: split path with per-neuron configs.
+        // Every neuron configured differently, without stochastic
+        // synapses: the SoA planes carry 256 distinct lanes.
         3 => {
             *cfg.crossbar = Crossbar::from_fn(|i, j| (i * 7 + j * 13) % 5 == 0);
             for j in 0..256 {
@@ -109,7 +110,7 @@ fn random_core(rng: &mut SplitMix64, num_cores: usize, kind: u64) -> CoreConfig 
                 cfg.neurons[j] = n;
             }
         }
-        // Fully random: stochastic synapses in play — fused/scalar paths.
+        // Fully random: stochastic synapses in play — the scalar loop.
         _ => {
             let density = rng.below(30) + 3;
             *cfg.crossbar =
@@ -122,16 +123,21 @@ fn random_core(rng: &mut SplitMix64, num_cores: usize, kind: u64) -> CoreConfig 
     cfg
 }
 
-fn random_net(seed: u64) -> Network {
+/// A grid of archetype `kind` cores, or of a random mix when `None`.
+fn archetype_net(seed: u64, kind: Option<u64>) -> Network {
     let mut rng = SplitMix64::new(seed);
     let num = (GRID_W * GRID_H) as usize;
     let mut b = NetworkBuilder::new(GRID_W, GRID_H, seed);
     for _ in 0..num {
-        let kind = rng.below(5);
+        let kind = kind.unwrap_or_else(|| rng.below(5));
         let cfg = random_core(&mut rng, num, kind);
         b.add_core(cfg);
     }
     b.build()
+}
+
+fn random_net(seed: u64) -> Network {
+    archetype_net(seed, None)
 }
 
 fn driving_source(seed: u64) -> ScheduledSource {
@@ -165,7 +171,7 @@ fn run_engine(
     engine: &str,
     seed: u64,
     threads: usize,
-    cfg: FastPathConfig,
+    fastpath: bool,
     plan: Option<&FaultPlan>,
 ) -> (u64, u64, u64) {
     let net = random_net(seed);
@@ -173,7 +179,7 @@ fn run_engine(
     match engine {
         "reference" => {
             let mut sim = ReferenceSim::new(net);
-            sim.network_mut().set_fastpath(cfg);
+            sim.network_mut().set_fastpath(fastpath);
             if let Some(p) = plan {
                 sim.attach_faults(p);
             }
@@ -184,7 +190,7 @@ fn run_engine(
         }
         "parallel" => {
             let mut sim = ParallelSim::new(net, threads);
-            sim.network_mut().set_fastpath(cfg);
+            sim.network_mut().set_fastpath(fastpath);
             if let Some(p) = plan {
                 sim.attach_faults(p);
             }
@@ -195,7 +201,7 @@ fn run_engine(
         }
         "chip" => {
             let mut sim = TrueNorthSim::new(net);
-            sim.network_mut().set_fastpath(cfg);
+            sim.network_mut().set_fastpath(fastpath);
             if let Some(p) = plan {
                 sim.attach_faults(p);
             }
@@ -211,10 +217,10 @@ fn run_engine(
 #[test]
 fn fastpath_is_bit_exact_on_every_engine() {
     for seed in [11u64, 0xC0FFEE, 987_654_321] {
-        let scalar = run_engine("reference", seed, 0, FastPathConfig::scalar(), None);
+        let scalar = run_engine("reference", seed, 0, false, None);
         assert!(scalar.2 > 0, "network must consume PRNG draws");
         for engine in ["reference", "parallel", "chip"] {
-            let fast = run_engine(engine, seed, 3, FastPathConfig::default(), None);
+            let fast = run_engine(engine, seed, 3, true, None);
             assert_eq!(
                 fast.0, scalar.0,
                 "{engine} fastpath state diverged from scalar (seed {seed:#x})"
@@ -234,62 +240,39 @@ fn fastpath_is_bit_exact_on_every_engine() {
 #[test]
 fn fastpath_is_bit_exact_across_thread_counts() {
     let seed = 0xFA57u64;
-    let scalar = run_engine("reference", seed, 0, FastPathConfig::scalar(), None);
+    let scalar = run_engine("reference", seed, 0, false, None);
     for threads in [1usize, 2, 3, 5, 8, 16] {
-        let fast = run_engine("parallel", seed, threads, FastPathConfig::default(), None);
+        let fast = run_engine("parallel", seed, threads, true, None);
         assert_eq!(fast.0, scalar.0, "{threads} threads: state diverged");
         assert_eq!(fast.1, scalar.1, "{threads} threads: outputs diverged");
         assert_eq!(fast.2, scalar.2, "{threads} threads: draw count diverged");
     }
 }
 
+/// Cores with a connected stochastic synapse draw during the synapse
+/// phase, so the SoA tier must decline them and the dispatcher must land
+/// on the scalar loop — tallied as such, one tier per core per tick, on
+/// a mixed network too.
 #[test]
-fn partial_ablations_are_bit_exact_too() {
-    let seed = 0xAB1A7E5u64;
-    let scalar = run_engine("reference", seed, 0, FastPathConfig::scalar(), None);
-    for (q, p, s) in [
-        (true, false, false),
-        (false, true, false),
-        (false, false, true),
-        (true, true, false),
-        (false, true, true),
-        (true, false, true),
-    ] {
-        let cfg = FastPathConfig {
-            quiescence: q,
-            popcount: p,
-            soa: s,
-        };
-        let got = run_engine("reference", seed, 0, cfg, None);
-        assert_eq!(
-            got.0, scalar.0,
-            "quiescence={q} popcount={p} soa={s} diverged"
-        );
-        assert_eq!(got.1, scalar.1);
-        assert_eq!(got.2, scalar.2);
-    }
-}
+fn stochastic_synapse_cores_are_tallied_under_scalar() {
+    let cores = (GRID_W * GRID_H) as u64;
+    let run = |net: Network, seed: u64| {
+        let mut sim = ReferenceSim::new(net);
+        sim.run(TICKS, &mut driving_source(seed));
+        sim.network().tier_totals()
+    };
 
-/// SoA tier alone (no popcount, no quiescence) vs the scalar loop: the
-/// draw *order* — not just the count — must match on the stochastic
-/// archetypes, because the SoA draw pre-pass reorders nothing and the
-/// tier must cleanly decline cores whose synapse phase draws. Equal
-/// state digests pin the order (the LFSR state is part of the digest);
-/// equal totals pin the count.
-#[test]
-fn soa_tier_preserves_prng_draw_order_vs_scalar() {
-    for seed in [0x50A0u64, 0xBEE5, 3] {
-        let scalar = run_engine("reference", seed, 0, FastPathConfig::scalar(), None);
-        let soa_only = FastPathConfig {
-            quiescence: false,
-            popcount: false,
-            soa: true,
-        };
-        let got = run_engine("reference", seed, 0, soa_only, None);
-        assert_eq!(got.0, scalar.0, "soa-only state diverged (seed {seed:#x})");
-        assert_eq!(got.1, scalar.1, "soa-only outputs diverged");
-        assert_eq!(got.2, scalar.2, "soa-only draw count diverged");
-    }
+    let seed = 0x50A0u64;
+    let net = archetype_net(seed, Some(4));
+    assert!(net.cores().iter().all(|c| c.fastpath().soa.is_none()));
+    let tiers = run(net, seed);
+    assert_eq!(tiers.scalar, TICKS * cores, "{tiers:?}");
+    assert_eq!(tiers.total(), TICKS * cores);
+
+    let mixed = run(random_net(seed), seed);
+    assert_eq!(mixed.total(), TICKS * cores, "{mixed:?}");
+    assert!(mixed.soa > 0 && mixed.scalar > 0, "{mixed:?}");
+    assert_eq!((mixed.split, mixed.fused), (0, 0));
 }
 
 #[test]
@@ -298,20 +281,14 @@ fn fault_mutations_invalidate_fastpath_caches() {
     // per-core fast-path caches; a stale cache would silently diverge.
     let plan = FaultPlan::parse(MUTATING_PLAN).unwrap();
     for seed in [5u64, 0xD00D] {
-        let scalar = run_engine("reference", seed, 0, FastPathConfig::scalar(), Some(&plan));
+        let scalar = run_engine("reference", seed, 0, false, Some(&plan));
         for (engine, threads) in [
             ("reference", 0),
             ("parallel", 2),
             ("parallel", 7),
             ("chip", 0),
         ] {
-            let fast = run_engine(
-                engine,
-                seed,
-                threads,
-                FastPathConfig::default(),
-                Some(&plan),
-            );
+            let fast = run_engine(engine, seed, threads, true, Some(&plan));
             assert_eq!(
                 fast.0, scalar.0,
                 "{engine}/{threads} threads diverged under fault plan (seed {seed:#x})"
@@ -364,19 +341,18 @@ fn soa_snapshot_restore_is_byte_identical_and_resumable() {
     let half = TICKS / 2;
 
     // Uninterrupted SoA run for the final reference digest.
-    let uninterrupted = run_engine("reference", seed, 0, FastPathConfig::default(), None);
+    let uninterrupted = run_engine("reference", seed, 0, true, None);
 
     // SoA run paused at the midpoint.
     let mut src = driving_source(seed);
     let mut sim = ReferenceSim::new(random_net(seed));
-    sim.network_mut().set_fastpath(FastPathConfig::default());
     sim.run(half, &mut src);
     let snap = sim.checkpoint();
 
     // Scalar run paused at the same midpoint: identical snapshot bytes.
     let mut src_s = driving_source(seed);
     let mut sim_s = ReferenceSim::new(random_net(seed));
-    sim_s.network_mut().set_fastpath(FastPathConfig::scalar());
+    sim_s.network_mut().set_fastpath(false);
     sim_s.run(half, &mut src_s);
     assert_eq!(
         snap.to_bytes(),
@@ -388,9 +364,6 @@ fn soa_snapshot_restore_is_byte_identical_and_resumable() {
     // source is keyed by absolute tick and the restore resumes the tick
     // counter, so a fresh schedule is only queried for ticks ≥ half.
     let mut resumed = ReferenceSim::new(random_net(seed));
-    resumed
-        .network_mut()
-        .set_fastpath(FastPathConfig::default());
     resumed.restore(&snap);
     resumed.run(TICKS - half, &mut driving_source(seed));
     assert_eq!(
@@ -401,9 +374,7 @@ fn soa_snapshot_restore_is_byte_identical_and_resumable() {
 
     // And finish the same restore under the scalar path: same digest.
     let mut resumed_s = ReferenceSim::new(random_net(seed));
-    resumed_s
-        .network_mut()
-        .set_fastpath(FastPathConfig::scalar());
+    resumed_s.network_mut().set_fastpath(false);
     resumed_s.restore(&snap);
     resumed_s.run(TICKS - half, &mut driving_source(seed));
     assert_eq!(resumed_s.network().state_digest(), uninterrupted.0);
@@ -414,10 +385,10 @@ fn prng_draw_accounting_is_identical_across_thread_counts() {
     // TickStats::prng_draws is a per-run delta summed over cores; the
     // partition must not change it.
     let seed = 0x17EA5u64;
-    let reference = run_engine("reference", seed, 0, FastPathConfig::default(), None);
+    let reference = run_engine("reference", seed, 0, true, None);
     assert!(reference.2 > 0);
     for threads in [1usize, 2, 7] {
-        let par = run_engine("parallel", seed, threads, FastPathConfig::default(), None);
+        let par = run_engine("parallel", seed, threads, true, None);
         assert_eq!(
             par.2, reference.2,
             "prng_draws must be thread-count invariant ({threads} threads)"

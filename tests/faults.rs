@@ -134,6 +134,60 @@ fn damaged_board_snapshot_survives_byte_roundtrip_and_engine_swap() {
     assert_eq!(chip.network().state_digest(), want);
 }
 
+/// The chip's mesh defect map must follow a restore in both directions:
+/// rewinding to before an applied `dead` fault re-enables the core (the
+/// mesh must stop dropping its packets), and a fresh chip resuming a
+/// post-`dead` snapshot must detour around it.
+#[test]
+fn chip_rewind_and_forward_restore_match_reference() {
+    let plan = FaultPlan::parse("tnfault 1\nseed 3\nat 30 core 2 2 dead\n").unwrap();
+    let defects_mirror_disabled = |chip: &TrueNorthSim| {
+        let net = chip.network();
+        net.cores().iter().all(|c| {
+            chip.policy()
+                .mesh
+                .defects
+                .is_defective(net.coord_of(c.id()))
+                == c.is_disabled()
+        })
+    };
+
+    let mut reference = ReferenceSim::new(net());
+    reference.attach_faults(&plan);
+    reference.run(20, &mut NullSource);
+    let before = reference.checkpoint();
+    reference.run(5, &mut NullSource);
+    let at_25 = reference.network().state_digest();
+    reference.run(15, &mut NullSource);
+    let after = reference.checkpoint();
+    reference.run(5, &mut NullSource);
+    let at_45 = reference.network().state_digest();
+
+    // Rewind: the fault at 30 has been applied, then is undone.
+    let mut chip = TrueNorthSim::new(net());
+    chip.attach_faults(&plan);
+    chip.run(40, &mut NullSource);
+    assert_eq!(chip.policy().mesh.defects.count(), 1);
+    chip.restore(&before);
+    assert_eq!(chip.policy().mesh.defects.count(), 0);
+    assert!(defects_mirror_disabled(&chip));
+    chip.run(5, &mut NullSource);
+    assert_eq!(chip.network().state_digest(), at_25, "rewound chip");
+
+    // Forward: a fresh chip never saw the fault fire.
+    let mut fresh = TrueNorthSim::new(net());
+    fresh.attach_faults(&plan);
+    fresh.restore(&after);
+    assert_eq!(fresh.policy().mesh.defects.count(), 1);
+    assert!(defects_mirror_disabled(&fresh));
+    fresh.run(5, &mut NullSource);
+    assert_eq!(
+        fresh.network().state_digest(),
+        at_45,
+        "forward-restored chip"
+    );
+}
+
 #[test]
 fn manually_injected_defects_roundtrip_through_snapshot_bytes() {
     let mut chip = TrueNorthSim::new(net());

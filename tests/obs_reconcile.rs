@@ -180,8 +180,6 @@ fn drive_and_reconcile(mut sim: Box<dyn KernelSession>) -> (u64, tn_core::TierCo
         ("disabled", tiers.disabled),
         ("quiescent", tiers.quiescent),
         ("soa", tiers.soa),
-        ("split", tiers.split),
-        ("fused", tiers.fused),
         ("scalar", tiers.scalar),
     ] {
         assert_eq!(
@@ -262,9 +260,9 @@ fn chip_extras_reconcile_with_the_report() {
     );
     assert_eq!(
         reg.gauge_value("tn_chip_worst_io_load", &[]),
-        Some(sim.worst_io_load() as f64)
+        Some(sim.policy().worst_io_load() as f64)
     );
-    let (link, boundary) = sim.worst_noc_loads();
+    let (link, boundary) = sim.policy().worst_noc_loads();
     assert_eq!(
         reg.gauge_value("tn_chip_worst_link_load", &[]),
         Some(link as f64)
@@ -276,11 +274,11 @@ fn chip_extras_reconcile_with_the_report() {
     let e_rt = reg
         .gauge_value("tn_chip_energy_joules", &[("mode", "realtime")])
         .unwrap();
-    assert!((e_rt - sim.energy_realtime().total_j()).abs() < 1e-18);
+    assert!((e_rt - sim.policy().energy_realtime().total_j()).abs() < 1e-18);
     let e_max = reg
         .gauge_value("tn_chip_energy_joules", &[("mode", "max_speed")])
         .unwrap();
-    assert!((e_max - sim.energy_max_speed().total_j()).abs() < 1e-18);
+    assert!((e_max - sim.policy().energy_max_speed().total_j()).abs() < 1e-18);
     // The report and the registry tell one story.
     let report = sim.report();
     assert_eq!(report.ticks, 60);

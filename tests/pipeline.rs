@@ -85,7 +85,7 @@ fn pipeline_runs_identically_everywhere() {
 
     // Chip-side accounting must have seen the traffic.
     assert!(chip.stats().total_hops > 0);
-    assert!(chip.energy_realtime().row_j > 0.0);
+    assert!(chip.policy().energy_realtime().row_j > 0.0);
 }
 
 #[test]
