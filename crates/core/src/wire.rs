@@ -214,15 +214,17 @@ pub fn read_input_events(r: &mut ByteReader<'_>) -> Result<Vec<InputEvent>, Wire
 /// belong to the caller; this module only moves and checks bytes.
 pub mod framed {
     use super::WireError;
-    use std::io::{self, Read, Write};
+    use std::io::{self, Read};
 
     /// Bytes in the fixed frame header (`len | version | opcode`).
     pub const HEADER_BYTES: usize = 6;
     /// Bytes in the CRC trailer after the payload.
     pub const TRAILER_BYTES: usize = 4;
 
-    const CRC_TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    /// Slice-by-8 tables: `CRC_TABLES[0]` is the classic byte table,
+    /// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+    const CRC_TABLES: [[u32; 256]; 8] = {
+        let mut t = [[0u32; 256]; 8];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -235,15 +237,34 @@ pub mod framed {
                 };
                 k += 1;
             }
-            table[i] = c;
+            t[0][i] = c;
             i += 1;
         }
-        table
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let c = t[k - 1][i];
+                t[k][i] = t[0][(c & 0xFF) as usize] ^ (c >> 8);
+                i += 1;
+            }
+            k += 1;
+        }
+        t
     };
 
     fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
-        for &b in bytes {
-            crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        const T: &[[u32; 256]; 8] = &CRC_TABLES;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let v = crc as u64 ^ u64::from_le_bytes(c.try_into().unwrap());
+            crc = 0;
+            for k in 0..8 {
+                crc ^= T[7 - k][(v >> (8 * k)) as u8 as usize];
+            }
+        }
+        for &b in chunks.remainder() {
+            crc = T[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
         }
         crc
     }
@@ -276,14 +297,34 @@ pub mod framed {
         }
     }
 
+    /// Start a frame at the end of `buf`: reserves the header and returns
+    /// the frame's offset for [`end_frame`]. The caller appends the
+    /// payload in between, so a frame is built in place, in a buffer the
+    /// caller may reuse, and reaches a socket as one `write`.
+    pub fn begin_frame(buf: &mut Vec<u8>) -> usize {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; HEADER_BYTES]);
+        start
+    }
+
+    /// Finish the frame opened at `start` by [`begin_frame`]: fill in the
+    /// header and append the CRC trailer.
+    pub fn end_frame(buf: &mut Vec<u8>, start: usize, version: u8, opcode: u8) {
+        let len = (buf.len() - start - HEADER_BYTES) as u32;
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4] = version;
+        buf[start + 5] = opcode;
+        // Version, opcode and payload are contiguous in the frame.
+        let crc = crc32(&buf[start + 4..]);
+        buf.extend_from_slice(&crc.to_le_bytes());
+    }
+
     /// Encode one whole frame (header + payload + CRC trailer).
     pub fn encode_frame(version: u8, opcode: u8, payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len() + TRAILER_BYTES);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.push(version);
-        buf.push(opcode);
+        let start = begin_frame(&mut buf);
         buf.extend_from_slice(payload);
-        buf.extend_from_slice(&frame_crc(version, opcode, payload).to_le_bytes());
+        end_frame(&mut buf, start, version, opcode);
         buf
     }
 
@@ -320,40 +361,6 @@ pub mod framed {
         let h = read_header(hdr);
         let payload = verify_body(&h, &buf[HEADER_BYTES..])?;
         Ok((h, payload))
-    }
-
-    /// Streaming frame writer over any [`Write`] — the same
-    /// length-prefix/CRC path as [`encode_frame`] without building the
-    /// whole frame in memory first.
-    pub struct FrameWriter<W: Write> {
-        inner: W,
-    }
-
-    impl<W: Write> FrameWriter<W> {
-        pub fn new(inner: W) -> Self {
-            FrameWriter { inner }
-        }
-
-        /// Write and flush one frame.
-        pub fn write_frame(&mut self, version: u8, opcode: u8, payload: &[u8]) -> io::Result<()> {
-            let mut hdr = [0u8; HEADER_BYTES];
-            hdr[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-            hdr[4] = version;
-            hdr[5] = opcode;
-            self.inner.write_all(&hdr)?;
-            self.inner.write_all(payload)?;
-            self.inner
-                .write_all(&frame_crc(version, opcode, payload).to_le_bytes())?;
-            self.inner.flush()
-        }
-
-        pub fn get_mut(&mut self) -> &mut W {
-            &mut self.inner
-        }
-
-        pub fn into_inner(self) -> W {
-            self.inner
-        }
     }
 
     /// Blocking read of one frame from `r`: returns `(opcode, payload)`.
@@ -479,6 +486,45 @@ mod tests {
         assert_eq!(framed::crc32(b""), 0);
     }
 
+    /// The byte-at-a-time CRC-32 that `framed::crc32` replaced, kept as
+    /// the oracle for the slice-by-8 implementation.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slice_by_8_crc_equals_the_bytewise_loop() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64; // seeded xorshift64
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for len in (0..64).chain((0..200).map(|_| (next() % 4097) as usize)) {
+            for offset in 0..8 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(
+                    framed::crc32(s),
+                    crc32_bytewise(s),
+                    "len {len} offset {offset}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn frame_roundtrip_and_header_fields() {
         let f = framed::encode_frame(2, 0x41, b"payload bytes");
@@ -520,16 +566,19 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_matches_encode_frame() {
-        let mut w = framed::FrameWriter::new(Vec::new());
-        w.write_frame(2, 0x33, b"abcdef").unwrap();
-        w.write_frame(2, 0x34, &[]).unwrap();
-        let stream = w.into_inner();
-        let mut expect = framed::encode_frame(2, 0x33, b"abcdef");
+    fn frames_built_in_place_match_encode_frame_and_stream_back() {
+        let mut stream = vec![0xAA]; // frames append; earlier bytes stay
+        for (op, payload) in [(0x33, b"abcdef".as_slice()), (0x34, &[])] {
+            let start = framed::begin_frame(&mut stream);
+            stream.extend_from_slice(payload);
+            framed::end_frame(&mut stream, start, 2, op);
+        }
+        let mut expect = vec![0xAA];
+        expect.extend_from_slice(&framed::encode_frame(2, 0x33, b"abcdef"));
         expect.extend_from_slice(&framed::encode_frame(2, 0x34, &[]));
         assert_eq!(stream, expect);
 
-        let mut r = std::io::Cursor::new(stream);
+        let mut r = std::io::Cursor::new(&stream[1..]);
         let (op, payload) = framed::read_frame(&mut r, 2, 1024).unwrap();
         assert_eq!((op, payload.as_slice()), (0x33, b"abcdef".as_slice()));
         let (op, payload) = framed::read_frame(&mut r, 2, 1024).unwrap();

@@ -105,6 +105,9 @@ fn sharded_session_over_the_wire_matches_local_run() {
                 "shard metrics missing from exposition:\n{text}"
             );
             assert!(text.contains("tn_shard_barrier_wait_ns"), "{text}");
+            // One heal snapshot (tick 32) fell inside the run.
+            assert!(text.contains("tn_shard_heal_snapshot_ns_count 1"), "{text}");
+            tn_obs::validate_exposition(&text).expect("valid exposition");
         }
         other => panic!("{other:?}"),
     }

@@ -9,25 +9,6 @@ use tn_compass::{KernelSession, ReferenceSim};
 use tn_core::fault::FaultPlan;
 use tn_shard::{ShardSpec, ShardedSession, SpawnMode};
 
-fn reference_run(ticks: u64) -> (Vec<u64>, Vec<(u64, u32)>, tn_core::FaultCounters) {
-    let mut sim = ReferenceSim::new(common::stochastic_net(4, 2, 51));
-    sim.attach_faults(&FaultPlan::parse(common::fault_plan_text()).unwrap());
-    let num = sim.network().num_cores();
-    let mut src = common::inputs_for(num, ticks);
-    let mut digests = Vec::new();
-    for _ in 0..ticks {
-        KernelSession::step(&mut sim, &mut src);
-        digests.push(KernelSession::state_digest(&mut sim));
-    }
-    let outputs = sim
-        .outputs()
-        .events()
-        .iter()
-        .map(|e| (e.tick, e.port))
-        .collect();
-    (digests, outputs, sim.fault_counters().unwrap())
-}
-
 /// Kill shard workers at the given ticks and compare the full transcript
 /// against the continuous reference run.
 fn chaos_run(spec: &ShardSpec, ticks: u64, kills: &[(u64, usize)]) {
@@ -41,38 +22,8 @@ fn chaos_run_with(
     kills: &[(u64, usize)],
     inject: fn(&mut ShardedSession, usize),
 ) {
-    let (ref_digests, ref_outputs, ref_counters) = reference_run(ticks);
-    let net = common::stochastic_net(4, 2, 51);
-    let num = net.num_cores();
-    let mut sim = ShardedSession::launch(net, spec).expect("launch");
-    sim.attach_faults(&FaultPlan::parse(common::fault_plan_text()).unwrap());
-    let mut src = common::inputs_for(num, ticks);
-    let mut digests = Vec::new();
-    for t in 0..ticks {
-        if let Some(&(_, k)) = kills.iter().find(|&&(kt, _)| kt == t) {
-            inject(&mut sim, k);
-        }
-        sim.step(&mut src);
-        digests.push(sim.state_digest());
-    }
-    assert!(
-        sim.heals() >= kills.len() as u64,
-        "every kill must be healed (heals = {})",
-        sim.heals()
-    );
-    assert_eq!(ref_digests, digests, "per-tick digests diverged");
-    let outputs: Vec<_> = sim
-        .outputs()
-        .events()
-        .iter()
-        .map(|e| (e.tick, e.port))
-        .collect();
-    assert_eq!(ref_outputs, outputs, "output transcript diverged");
-    assert_eq!(
-        ref_counters,
-        sim.fault_counters().unwrap(),
-        "fault counters diverged"
-    );
+    let script: Vec<_> = kills.iter().map(|&(t, k)| (t, Op::Lose(k))).collect();
+    assert_script_heals(spec, ticks, &script, inject);
 }
 
 /// In-process shards: kill one worker after the first heal snapshot and
@@ -132,4 +83,134 @@ fn repeated_kills_of_one_shard_heal_cleanly() {
         ..ShardSpec::default()
     };
     chaos_run(&spec, 40, &[(9, 1), (10, 1), (25, 1)]);
+}
+
+/// One scripted action, applied before the step with the given index.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Shard `k` loses its worker (killed or wedged).
+    Lose(usize),
+    Checkpoint,
+    /// Rewind to the last `Checkpoint` (inputs restart from its tick).
+    RestoreLast,
+}
+
+#[derive(PartialEq, Debug)]
+struct ScriptedRun {
+    /// `(tick, digest)` after every step; ticks repeat after a restore.
+    digests: Vec<(u64, u64)>,
+    outputs: Vec<(u64, u32)>,
+    counters: tn_core::FaultCounters,
+    checkpoints: Vec<tn_core::NetworkSnapshot>,
+}
+
+/// Drive `sim` through `steps` steps under the fault plan, applying
+/// `script`; `lose` is how this kind of session loses a worker.
+fn scripted_run<S: KernelSession>(
+    sim: &mut S,
+    steps: u64,
+    script: &[(u64, Op)],
+    lose: impl Fn(&mut S, usize),
+) -> ScriptedRun {
+    sim.attach_faults(&FaultPlan::parse(common::fault_plan_text()).unwrap());
+    let num = sim.network().num_cores();
+    let mut src = common::inputs_for(num, steps);
+    let mut digests = Vec::new();
+    let mut checkpoints = Vec::new();
+    for i in 0..steps {
+        for &(_, op) in script.iter().filter(|&&(at, _)| at == i) {
+            match op {
+                Op::Lose(k) => lose(sim, k),
+                Op::Checkpoint => checkpoints.push(sim.checkpoint()),
+                Op::RestoreLast => {
+                    sim.restore(checkpoints.last().expect("checkpoint before restore"));
+                    src = common::inputs_for(num, steps);
+                }
+            }
+        }
+        sim.step(&mut src);
+        digests.push((sim.current_tick(), sim.state_digest()));
+    }
+    ScriptedRun {
+        digests,
+        outputs: sim
+            .outputs()
+            .events()
+            .iter()
+            .map(|e| (e.tick, e.port))
+            .collect(),
+        counters: sim.fault_counters().unwrap(),
+        checkpoints,
+    }
+}
+
+/// The sharded run of `script` equals the single-process run of the same
+/// script with the losses left out — per-tick digests, output transcript,
+/// fault counters and checkpoints — and every lost worker was healed.
+fn assert_script_heals(
+    spec: &ShardSpec,
+    steps: u64,
+    script: &[(u64, Op)],
+    lose: fn(&mut ShardedSession, usize),
+) {
+    let mut reference = ReferenceSim::new(common::stochastic_net(4, 2, 51));
+    let expect = scripted_run(&mut reference, steps, script, |_, _| {});
+    let mut sim = ShardedSession::launch(common::stochastic_net(4, 2, 51), spec).expect("launch");
+    let got = scripted_run(&mut sim, steps, script, lose);
+    let losses = script
+        .iter()
+        .filter(|(_, op)| matches!(op, Op::Lose(_)))
+        .count();
+    assert!(
+        sim.heals() >= losses as u64,
+        "every kill must be healed (heals = {})",
+        sim.heals()
+    );
+    assert_eq!(expect, got);
+}
+
+/// Two in-process shards, a heal snapshot every 8 ticks.
+fn every_8() -> ShardSpec {
+    ShardSpec {
+        shards: 2,
+        snapshot_every: 8,
+        spawn: SpawnMode::InProcess,
+        ..ShardSpec::default()
+    }
+}
+
+/// A worker lost right after a heal snapshot is restored from its own
+/// range bytes alone — the other shard's cores never reach it — with an
+/// (almost) empty replay log behind them.
+#[test]
+fn kill_right_after_a_heal_snapshot_restores_from_the_shard_range() {
+    chaos_run(&every_8(), 24, &[(8, 1), (16, 0)]);
+    let spawn = SpawnMode::Process {
+        worker_bin: env!("CARGO_BIN_EXE_tn-shard-worker").into(),
+    };
+    chaos_run(&ShardSpec { spawn, ..every_8() }, 24, &[(8, 1), (16, 0)]);
+}
+
+/// After a session-level `restore` the heal anchor is the whole-board
+/// bytes every shard was just given; a worker lost before the next
+/// periodic snapshot must come back from those.
+#[test]
+fn kill_after_a_session_restore_heals_from_the_board_bytes() {
+    // Checkpoint at tick 10, run on to 20, rewind, lose a shard at 12.
+    let script = [
+        (10, Op::Checkpoint),
+        (20, Op::RestoreLast),
+        (22, Op::Lose(0)),
+    ];
+    assert_script_heals(&every_8(), 40, &script, ShardedSession::kill_worker);
+}
+
+/// A `checkpoint` between two heal snapshots assembles the board from the
+/// same range replies but leaves the heal anchor and replay logs alone:
+/// the snapshot equals the single-process one, and a kill right after it
+/// still heals from the tick-8 anchor.
+#[test]
+fn kill_after_a_checkpoint_between_heal_snapshots_heals_from_the_older_anchor() {
+    let script = [(12, Op::Checkpoint), (13, Op::Lose(1))];
+    assert_script_heals(&every_8(), 24, &script, ShardedSession::kill_worker);
 }

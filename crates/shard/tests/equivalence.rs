@@ -218,3 +218,31 @@ fn checkpoint_restore_is_bit_exact() {
     let replay_tail: Vec<_> = replay_outputs.iter().filter(|e| e.tick >= 15).collect();
     assert_eq!(tail, replay_tail, "replayed output stream matches");
 }
+
+/// The barrier round trip costs what loopback costs. With Nagle on the
+/// worker's socket and a frame split over several writes, every `Done`
+/// waited out the coordinator's 40 ms delayed ACK: 64 ticks took 2.8 s.
+#[test]
+fn a_tick_does_not_wait_for_a_delayed_ack() {
+    let ticks = 64;
+    let reference = reference_transcript(2, 1, 5, ticks, None);
+    let worker_bin = env!("CARGO_BIN_EXE_tn-shard-worker").into();
+    for spawn in [SpawnMode::InProcess, SpawnMode::Process { worker_bin }] {
+        let spec = ShardSpec {
+            shards: 2,
+            spawn,
+            ..ShardSpec::default()
+        };
+        let mut sim = ShardedSession::launch(common::stochastic_net(2, 1, 5), &spec).unwrap();
+        let mut src = common::inputs_for(2, ticks);
+        let start = std::time::Instant::now();
+        let sharded = transcript(&mut sim, &mut src, ticks, 20);
+        let elapsed = start.elapsed();
+        assert_equivalent(&reference, &sharded, &format!("2x1, {:?}", spec.spawn));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{ticks} ticks took {elapsed:?} under {:?}",
+            spec.spawn
+        );
+    }
+}

@@ -115,15 +115,18 @@ fn sharded_scaleout_demo() -> Vec<String> {
         seed: 0x5CA1E,
     };
     let cores = p.cores_x as usize * p.cores_y as usize;
+    let ms_per_tick = |secs: f64| secs * 1e3 / TICKS as f64;
     println!(
         "\n== executed sharding scale-out: {}x{} cores, {} ticks ==",
         p.cores_x, p.cores_y, TICKS
     );
 
     let mut reference = ReferenceSim::new(build_recurrent(&p));
+    let start = Instant::now();
     for _ in 0..TICKS {
         KernelSession::step(&mut reference, &mut NullSource);
     }
+    let t_ref = start.elapsed().as_secs_f64();
     let ref_digest = KernelSession::state_digest(&mut reference);
 
     let (d1, spikes1, b1, t1) = run_sharded(&p, 1, TICKS);
@@ -140,9 +143,18 @@ fn sharded_scaleout_demo() -> Vec<String> {
             "{cores} cores ({}x{}), {TICKS} ticks, {spikes4} spikes routed",
             p.cores_x, p.cores_y
         ),
-        format!("digest 1-shard  : {d1:#018x}  ({t1:.2}s wall)"),
-        format!("digest 4-shard  : {d4:#018x}  ({t4:.2}s wall)"),
-        format!("digest reference: {ref_digest:#018x}  -> all three match, bit-exact"),
+        format!(
+            "digest 1-shard  : {d1:#018x}  ({:.3} ms/tick)",
+            ms_per_tick(t1)
+        ),
+        format!(
+            "digest 4-shard  : {d4:#018x}  ({:.3} ms/tick)",
+            ms_per_tick(t4)
+        ),
+        format!(
+            "digest reference: {ref_digest:#018x}  ({:.3} ms/tick) -> all three match, bit-exact",
+            ms_per_tick(t_ref)
+        ),
         format!(
             "4-shard boundary traffic: {b4} spikes over TCP \
              ({:.0} per tick, {frac:.1}% of routed spikes)",
