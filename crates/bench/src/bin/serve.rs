@@ -211,7 +211,6 @@ struct LoadResult {
 fn executor_load(args: &Args, shards: usize) -> LoadResult {
     let exec = ShardExecutor::new(ExecutorConfig {
         shards: args.exec_shards,
-        transient: false,
     });
     let cfg = SessionConfig {
         pace: Pace::RealTime,

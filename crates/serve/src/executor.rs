@@ -13,8 +13,8 @@
 //!   by the next deadline of their [`TickScheduler`] grid. The shard
 //!   sleeps until the earliest armed deadline, runs every due tick,
 //!   and re-arms. Wake-up jitter on an armed deadline is telemetry,
-//!   not a deadline miss (`TickScheduler::begin_tick`), exactly
-//!   mirroring what the old blocking `pace()` path booked.
+//!   not a deadline miss: only whole periods of oversleep past an
+//!   armed edge are booked (`TickScheduler::begin_tick`).
 //! - **Load shedding** — an overloaded shard falls behind the grid;
 //!   `begin_tick` then books the skipped edges as misses and jumps to
 //!   the next future edge, so lateness sheds whole ticks instead of
@@ -66,10 +66,6 @@ const MAX_SPEED_BATCH: u64 = 64;
 pub struct ExecutorConfig {
     /// Driver shard threads. 0 means auto: `min(cores, 8)`.
     pub shards: usize,
-    /// Transient mode, for [`crate::session::spawn_session`]: shards
-    /// are detached and exit once every admitted session has closed,
-    /// instead of waiting for an explicit [`ShardExecutor::shutdown`].
-    pub transient: bool,
 }
 
 /// Resolve the shard count: explicit, or `min(cores, 8)`.
@@ -112,21 +108,12 @@ impl ShardExecutor {
         for k in 0..n {
             let (tx, rx) = std::sync::mpsc::channel();
             let metrics = ShardMetrics::new(&registry, k);
-            let transient = cfg.transient;
             let handle = std::thread::Builder::new()
                 .name(format!("tn-exec-shard-{k}"))
-                .spawn(move || Shard::new(rx, metrics, transient).run())
+                .spawn(move || Shard::new(rx, metrics).run())
                 .expect("spawn shard thread");
             shards.push(tx);
-            if cfg.transient {
-                // sync: detached on purpose — a transient shard owns no
-                // external state and exits by itself once its sessions
-                // close or every handle (and this executor) is dropped,
-                // disconnecting the channel.
-                drop(handle);
-            } else {
-                joins.push(handle);
-            }
+            joins.push(handle);
         }
         ShardExecutor {
             shards,
@@ -236,20 +223,16 @@ struct Shard {
     /// Round-robin queue of runnable max-speed sessions.
     ready: VecDeque<u64>,
     metrics: ShardMetrics,
-    transient: bool,
-    admitted_any: bool,
 }
 
 impl Shard {
-    fn new(rx: Receiver<ShardMsg>, metrics: ShardMetrics, transient: bool) -> Self {
+    fn new(rx: Receiver<ShardMsg>, metrics: ShardMetrics) -> Self {
         Shard {
             rx,
             tasks: HashMap::new(),
             wheel: BinaryHeap::new(),
             ready: VecDeque::new(),
             metrics,
-            transient,
-            admitted_any: false,
         }
     }
 
@@ -265,9 +248,6 @@ impl Shard {
             if now >= next_sweep {
                 self.sweep(now);
                 next_sweep = now + SWEEP_PERIOD;
-            }
-            if self.transient && self.admitted_any && self.tasks.is_empty() {
-                return;
             }
         }
     }
@@ -315,7 +295,6 @@ impl Shard {
     fn handle_msg(&mut self, msg: ShardMsg) -> bool {
         match msg {
             ShardMsg::Admit { id, task } => {
-                self.admitted_any = true;
                 self.tasks.insert(
                     id,
                     Entry {
@@ -517,10 +496,7 @@ mod tests {
 
     #[test]
     fn many_sessions_multiplex_on_two_shards() {
-        let exec = ShardExecutor::new(ExecutorConfig {
-            shards: 2,
-            transient: false,
-        });
+        let exec = ShardExecutor::new(ExecutorConfig { shards: 2 });
         let cfg = SessionConfig {
             pace: Pace::MaxSpeed,
             ..Default::default()
@@ -590,10 +566,7 @@ mod tests {
 
     #[test]
     fn real_time_sessions_share_one_wheel_and_hold_cadence() {
-        let exec = ShardExecutor::new(ExecutorConfig {
-            shards: 1,
-            transient: false,
-        });
+        let exec = ShardExecutor::new(ExecutorConfig { shards: 1 });
         let cfg = SessionConfig {
             pace: Pace::RealTime,
             tick_period: Duration::from_millis(2),
@@ -649,10 +622,7 @@ mod tests {
 
     #[test]
     fn shard_thread_count_is_fixed_not_per_session() {
-        let exec = ShardExecutor::new(ExecutorConfig {
-            shards: 2,
-            transient: false,
-        });
+        let exec = ShardExecutor::new(ExecutorConfig { shards: 2 });
         let before = count_threads();
         let cfg = SessionConfig {
             pace: Pace::MaxSpeed,

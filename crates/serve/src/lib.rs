@@ -36,7 +36,7 @@ pub mod client;
 pub mod executor;
 pub mod protocol;
 pub mod resilient;
-pub mod scheduler;
+pub(crate) mod scheduler;
 pub mod server;
 pub mod session;
 pub(crate) mod sync;
@@ -48,9 +48,5 @@ pub use protocol::{
     SessionStats, TickUpdate, PROTOCOL_VERSION,
 };
 pub use resilient::{BackoffPolicy, ReconnectingClient, RetrySequence, SessionSpec};
-pub use scheduler::{Clock, PaceOutcome, SystemClock, TickScheduler, VirtualClock};
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use session::{
-    spawn_session, spawn_session_resumed, Cmd, MigrationTicket, Outbound, SessionConfig,
-    SessionGone, SessionHandle,
-};
+pub use session::{Cmd, MigrationTicket, Outbound, SessionConfig, SessionGone, SessionHandle};

@@ -23,12 +23,8 @@
 
 use tn_core::wire::{self, framed, ByteReader, InputEvent, WireError};
 
-/// Protocol version carried in every frame header. Version 2 added the
-/// CRC-32 frame trailer and the sharded-session request; version 3 added
-/// the control plane (list/migrate/drain/status/adopt and the
-/// `Redirect` stream frame); version 4 added the real-time grid phase to
-/// `AdoptSession` so a migrated session resumes its deadline grid
-/// instead of re-anchoring (and double-booking the in-flight slot).
+/// Protocol version carried in every frame header; the server accepts
+/// only this version.
 pub const PROTOCOL_VERSION: u8 = 4;
 /// Frame header size: length + version + opcode.
 pub const FRAME_HEADER_BYTES: usize = framed::HEADER_BYTES;
@@ -51,7 +47,7 @@ pub const OP_STATS: u8 = 0x09;
 pub const OP_CLOSE_SESSION: u8 = 0x0A;
 pub const OP_GET_METRICS: u8 = 0x0B;
 pub const OP_CREATE_SHARDED_SESSION: u8 = 0x0C;
-// Control-plane requests (version 3).
+// Control-plane requests.
 pub const OP_LIST_SESSIONS: u8 = 0x0D;
 pub const OP_MIGRATE_SESSION: u8 = 0x0E;
 pub const OP_DRAIN: u8 = 0x0F;
@@ -69,7 +65,7 @@ pub const OP_SNAPSHOT_DATA: u8 = 0x86;
 pub const OP_STATS_DATA: u8 = 0x87;
 pub const OP_TICK_UPDATE: u8 = 0x88;
 pub const OP_METRICS_DATA: u8 = 0x89;
-// Control-plane responses (version 3).
+// Control-plane responses.
 pub const OP_SESSION_LIST: u8 = 0x8A;
 pub const OP_REDIRECT: u8 = 0x8B;
 pub const OP_SERVER_STATUS_DATA: u8 = 0x8C;

@@ -118,7 +118,7 @@ impl BackoffPolicy {
 
 /// The budget arithmetic of one retry sequence, factored out of the
 /// socket loop so it is driven by explicit `Instant`s — tests pin it
-/// with [`crate::scheduler::VirtualClock`] instead of racing real time.
+/// with plain `Instant` arithmetic instead of racing real time.
 ///
 /// This is where the retry-budget underflow was fixed. The old loop
 /// tracked the deadline per *connect burst* while the request tracked
@@ -512,13 +512,11 @@ impl ReplyLike for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Clock, VirtualClock};
 
     #[test]
     fn retry_budget_clamps_to_the_deadline_and_never_goes_negative() {
-        // VirtualClock drives the whole sequence: every assertion below
-        // is exact, no real sleeping, no racing the host scheduler.
-        let clock = VirtualClock::new();
+        // Explicit instants drive the whole sequence: every assertion
+        // below is exact, no real sleeping, no racing the host scheduler.
         let p = BackoffPolicy {
             base: Duration::from_millis(100),
             max: Duration::from_secs(2),
@@ -526,38 +524,37 @@ mod tests {
             total_deadline: Some(Duration::from_millis(250)),
             seed: 7,
         };
-        let start = clock.now();
+        let start = Instant::now();
         let mut seq = RetrySequence::begin_at(&p, start);
 
         // Attempt 0 dials immediately.
-        assert_eq!(seq.next_sleep(clock.now()), Some(Duration::ZERO));
-        clock.advance(Duration::from_millis(20)); // the dial itself
+        assert_eq!(seq.next_sleep(start), Some(Duration::ZERO));
+        let mut now = start + Duration::from_millis(20); // the dial itself
 
         // Attempt 1's nominal delay fits the budget: taken in full.
-        let s1 = seq.next_sleep(clock.now()).expect("budget left");
+        let s1 = seq.next_sleep(now).expect("budget left");
         assert_eq!(s1, p.delay(0));
-        clock.sleep(s1);
+        now += s1;
 
         // Attempt 2's nominal delay (~200 ms + jitter) overruns what is
         // left. The old loop would have slept it whole — the remaining
         // budget went negative and the overrun surfaced as one extra
         // full-length delay. Now the sleep clamps to exactly the
         // remainder.
-        let rem = p.remaining(start, clock.now()).expect("bounded policy");
+        let rem = p.remaining(start, now).expect("bounded policy");
         assert!(!rem.is_zero() && rem < p.delay(1), "mid-budget: {rem:?}");
-        let s2 = seq.next_sleep(clock.now()).expect("clamped attempt");
+        let s2 = seq.next_sleep(now).expect("clamped attempt");
         assert_eq!(s2, rem, "sleep is the leftover budget, not the delay");
-        clock.sleep(s2);
+        now += s2;
 
         // The budget is now exactly zero — saturated, not negative —
         // and the sequence refuses further attempts.
-        assert_eq!(p.remaining(start, clock.now()), Some(Duration::ZERO));
-        assert_eq!(seq.next_sleep(clock.now()), None);
+        assert_eq!(p.remaining(start, now), Some(Duration::ZERO));
+        assert_eq!(seq.next_sleep(now), None);
     }
 
     #[test]
     fn reconnect_mid_request_sees_only_the_leftover_budget() {
-        let clock = VirtualClock::new();
         let p = BackoffPolicy {
             total_deadline: Some(Duration::from_millis(100)),
             ..BackoffPolicy::default()
@@ -565,31 +562,31 @@ mod tests {
         // The request has already burnt its whole budget by the time
         // the transport dies; the reconnect sequence threads the
         // request's start, so even the free first dial is refused.
-        let start = clock.now();
-        clock.advance(Duration::from_millis(100));
+        let start = Instant::now();
+        let now = start + Duration::from_millis(100);
         let mut seq = RetrySequence::begin_at(&p, start);
-        assert_eq!(seq.next_sleep(clock.now()), None, "attempt 0 pre-check");
+        assert_eq!(seq.next_sleep(now), None, "attempt 0 pre-check");
 
         // Unbounded policies never clamp and never refuse on time.
         let unbounded = BackoffPolicy::default();
         let mut seq = RetrySequence::begin_at(&unbounded, start);
-        assert_eq!(seq.next_sleep(clock.now()), Some(Duration::ZERO));
-        assert_eq!(seq.next_sleep(clock.now()), Some(unbounded.delay(0)));
+        assert_eq!(seq.next_sleep(now), Some(Duration::ZERO));
+        assert_eq!(seq.next_sleep(now), Some(unbounded.delay(0)));
     }
 
     #[test]
     fn retry_sequence_honors_the_attempt_cap() {
-        let clock = VirtualClock::new();
         let p = BackoffPolicy {
             max_retries: 2,
             ..BackoffPolicy::default()
         };
-        let mut seq = RetrySequence::begin_at(&p, clock.now());
+        let now = Instant::now();
+        let mut seq = RetrySequence::begin_at(&p, now);
         // max_retries = 2 → one initial dial + two retries, then done.
         for _ in 0..3 {
-            assert!(seq.next_sleep(clock.now()).is_some());
+            assert!(seq.next_sleep(now).is_some());
         }
-        assert_eq!(seq.next_sleep(clock.now()), None);
+        assert_eq!(seq.next_sleep(now), None);
     }
 
     #[test]

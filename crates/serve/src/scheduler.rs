@@ -4,11 +4,13 @@
 //! every core must finish its tick before the next 1 ms edge, and a tick
 //! that misses the edge is a *deadline miss*, not a silent slowdown
 //! (paper Section III-C). [`TickScheduler`] reproduces that contract for
-//! a served session: in [`Pace::RealTime`] it sleeps each tick out to
-//! the configured period and *counts* deadline misses when the host
-//! falls behind — without accumulating debt, exactly like a dropped
-//! sync edge — while [`Pace::MaxSpeed`] free-runs the simulator at host
-//! speed (the paper's "faster than real-time" operating regime).
+//! a served session: in [`Pace::RealTime`] it tells the executor's
+//! deadline wheel when the next tick may start and *counts* deadline
+//! misses when the host falls behind — without accumulating debt,
+//! exactly like a dropped sync edge — while [`Pace::MaxSpeed`] free-runs
+//! the simulator at host speed (the paper's "faster than real-time"
+//! operating regime). The scheduler never sleeps and reads no clock:
+//! every call takes the caller's `now`.
 //!
 //! Deadlines live on a fixed grid anchored at the first paced tick:
 //! `anchor + k·period`. A late tick skips forward to the next *grid*
@@ -18,72 +20,19 @@
 //! actually dropped.
 
 use crate::protocol::Pace;
-use crate::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Time source a [`TickScheduler`] paces against. Production uses
-/// [`SystemClock`]; tests use [`VirtualClock`] so cadence and miss
-/// accounting are asserted deterministically instead of racing the
-/// host's real scheduler.
-pub trait Clock: Send {
-    fn now(&self) -> Instant;
-    fn sleep(&self, d: Duration);
-}
-
-/// The host's monotonic clock and a real `thread::sleep`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now(&self) -> Instant {
-        Instant::now()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
-
-/// A deterministic clock: `sleep` advances virtual time instantly and
-/// `advance` models work taking wall time. Clones share one timeline.
-#[derive(Clone)]
-pub struct VirtualClock(Arc<Mutex<Instant>>);
-
-impl VirtualClock {
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        VirtualClock(Arc::new(Mutex::new(Instant::now())))
-    }
-
-    /// Advance the timeline, as if the caller spent `d` working.
-    pub fn advance(&self, d: Duration) {
-        *self.0.lock().unwrap() += d;
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> Instant {
-        *self.0.lock().unwrap()
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
-}
-
-/// What one [`TickScheduler::pace`] call did, for the caller's jitter
-/// and deadline-miss telemetry.
+/// What one [`TickScheduler::begin_tick`] call booked, for the caller's
+/// jitter and deadline-miss telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PaceOutcome {
-    /// Time slept waiting for the deadline (zero when late or free-running).
-    pub waited: Duration,
     /// How far past the deadline the tick started (zero when on time).
     pub lateness: Duration,
     /// Sync edges dropped by this call (0 when the deadline was met).
     pub missed_now: u64,
 }
 
-/// Paces a session's tick loop; create one per session driver.
+/// Paces one session's ticks; the executor keeps one per session.
 pub struct TickScheduler {
     pace: Pace,
     period: Duration,
@@ -92,37 +41,25 @@ pub struct TickScheduler {
     next: Option<Instant>,
     /// Deadline handed out by [`Self::next_ready_at`] that a deadline
     /// wheel is sleeping toward. A wake at-or-after an armed deadline is
-    /// an on-time tick (its start offset is wakeup jitter, not a blown
-    /// slot) — mirroring how the blocking [`Self::pace`] path absorbs
-    /// `sleep` overshoot into the *next* slot instead of booking it.
+    /// an on-time tick: its start offset is wakeup jitter, not a blown
+    /// slot, so only whole periods of oversleep are booked as misses.
     armed: Option<Instant>,
     missed: u64,
-    clock: Box<dyn Clock>,
 }
 
 impl TickScheduler {
     pub fn new(pace: Pace, period: Duration) -> Self {
-        Self::with_clock(pace, period, Box::new(SystemClock))
-    }
-
-    /// Scheduler on an explicit time source (tests pass [`VirtualClock`]).
-    pub fn with_clock(pace: Pace, period: Duration, clock: Box<dyn Clock>) -> Self {
         TickScheduler {
             pace,
             period: period.max(Duration::from_micros(1)),
             next: None,
             armed: None,
             missed: 0,
-            clock,
         }
     }
 
     pub fn pace_mode(&self) -> Pace {
         self.pace
-    }
-
-    pub fn period(&self) -> Duration {
-        self.period
     }
 
     /// Real-time deadlines missed so far (always 0 at max speed).
@@ -137,12 +74,11 @@ impl TickScheduler {
         self.armed = None;
     }
 
-    /// Non-blocking half of the executor pacing protocol: when may the
-    /// next tick start? Returns `now` when it may run immediately (max
-    /// speed, an unanchored grid, or a deadline already behind us) and
-    /// the grid edge otherwise, *arming* that edge so the wake-up's
-    /// start offset is classified as wheel jitter rather than an
-    /// overrun (see [`Self::begin_tick`]).
+    /// When may the next tick start? Returns `now` when it may run
+    /// immediately (max speed, an unanchored grid, or a deadline already
+    /// behind us) and the grid edge otherwise, *arming* that edge so the
+    /// wake-up's start offset is classified as wheel jitter rather than
+    /// an overrun (see [`Self::begin_tick`]).
     pub fn next_ready_at(&mut self, now: Instant) -> Instant {
         if self.pace == Pace::MaxSpeed {
             return now;
@@ -157,15 +93,13 @@ impl TickScheduler {
         }
     }
 
-    /// Non-blocking half of the executor pacing protocol: book the tick
-    /// that is about to run at `now`. The miss accounting is the same
-    /// fixed-grid arithmetic as [`Self::pace`]: whole-period overruns
-    /// are dropped sync edges, and the grid never slips to `now`. The
-    /// one refinement is the armed-wake case — a deadline wheel that
-    /// slept toward the edge and woke `ε` late starts the tick with
-    /// `lateness = ε` but books a miss only for *whole periods* of
-    /// oversleep, exactly as the blocking path absorbs `sleep`
-    /// overshoot into the next slot.
+    /// Book the tick that is about to run at `now`. Deadlines sit on a
+    /// fixed grid: whole-period overruns are dropped sync edges, and the
+    /// grid never slips to `now`. A deadline wheel that slept toward an
+    /// armed edge and woke `ε` late starts the tick with `lateness = ε`
+    /// but books a miss only for *whole periods* of oversleep; a tick
+    /// that starts past an edge nobody slept toward (back-to-back work
+    /// overran the slot) books that edge as well.
     pub fn begin_tick(&mut self, now: Instant) -> PaceOutcome {
         if self.pace == Pace::MaxSpeed {
             return PaceOutcome::default();
@@ -192,14 +126,12 @@ impl TickScheduler {
                     let whole = (behind.as_nanos() / self.period.as_nanos()) as u64;
                     // Armed wake: this edge's tick *is running now*,
                     // just late — only fully elapsed periods beyond it
-                    // are dropped edges. Unarmed (back-to-back work
-                    // overran the slot): the edge itself was blown,
-                    // matching `pace`.
+                    // are dropped edges. Unarmed: the edge itself was
+                    // blown too.
                     let skipped = if armed_here { whole } else { whole + 1 };
                     self.missed += skipped;
                     self.next = Some(deadline + self.period * (whole + 1) as u32);
                     PaceOutcome {
-                        waited: Duration::ZERO,
                         lateness: behind,
                         missed_now: skipped,
                     }
@@ -243,94 +175,69 @@ impl TickScheduler {
         self.next = Some(now + phase.min(self.period));
         self.armed = None;
     }
-
-    /// Block until the next tick may run.
-    pub fn pace(&mut self) -> PaceOutcome {
-        if self.pace == Pace::MaxSpeed {
-            return PaceOutcome::default();
-        }
-        let now = self.clock.now();
-        match self.next {
-            None => {
-                // First tick of a burst runs immediately and anchors the
-                // deadline grid.
-                self.next = Some(now + self.period);
-                PaceOutcome::default()
-            }
-            Some(deadline) => {
-                if now <= deadline {
-                    let wait = deadline - now;
-                    self.clock.sleep(wait);
-                    self.next = Some(deadline + self.period);
-                    PaceOutcome {
-                        waited: wait,
-                        ..PaceOutcome::default()
-                    }
-                } else {
-                    // Late: every whole period overrun is a dropped sync
-                    // edge. Skip to the next edge *on the original grid*
-                    // — the chip drops edges, it neither replays them nor
-                    // lets the grid slip to wherever the host happens to
-                    // be (that would forgive sub-period drift forever).
-                    let behind = now - deadline;
-                    let skipped = 1 + (behind.as_nanos() / self.period.as_nanos()) as u64;
-                    self.missed += skipped;
-                    self.next = Some(deadline + self.period * skipped as u32);
-                    PaceOutcome {
-                        waited: Duration::ZERO,
-                        lateness: behind,
-                        missed_now: skipped,
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Every test drives the scheduler with explicit `Instant`s the way
+    //! the executor does: `next_ready_at` → (the wheel waits until the
+    //! returned instant) → `begin_tick`. Nothing sleeps, so every
+    //! assertion is exact.
     use super::*;
 
-    fn virtual_scheduler(pace: Pace, period: Duration) -> (TickScheduler, VirtualClock) {
-        let clock = VirtualClock::new();
-        let s = TickScheduler::with_clock(pace, period, Box::new(clock.clone()));
-        (s, clock)
+    /// One executor step at `now`: ask when the tick may start, "wait"
+    /// until then, book it. Returns the start instant and the outcome.
+    fn tick_at(s: &mut TickScheduler, now: Instant) -> (Instant, PaceOutcome) {
+        let start = s.next_ready_at(now).max(now);
+        (start, s.begin_tick(start))
     }
 
     #[test]
-    fn max_speed_never_sleeps() {
-        let (mut s, clock) = virtual_scheduler(Pace::MaxSpeed, Duration::from_millis(50));
-        let start = clock.now();
+    fn max_speed_never_waits() {
+        let mut s = TickScheduler::new(Pace::MaxSpeed, Duration::from_millis(50));
+        let mut now = Instant::now();
         for _ in 0..100 {
-            assert_eq!(s.pace(), PaceOutcome::default());
+            let (start, out) = tick_at(&mut s, now);
+            assert_eq!(start, now, "max speed is always ready");
+            assert_eq!(out, PaceOutcome::default());
+            now += Duration::from_millis(70); // even slower than a period
         }
-        assert_eq!(clock.now(), start, "max speed consumed no time");
         assert_eq!(s.missed_deadlines(), 0);
     }
 
     #[test]
     fn real_time_holds_the_cadence() {
         let period = Duration::from_millis(2);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        let start = clock.now();
-        assert_eq!(s.pace(), PaceOutcome::default(), "first tick is immediate");
-        for _ in 0..4 {
-            let out = s.pace();
-            assert_eq!(out.waited, period, "an idle host sleeps a full period");
-            assert_eq!(out.missed_now, 0);
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        let (start, out) = tick_at(&mut s, t0);
+        assert_eq!(
+            (start, out),
+            (t0, PaceOutcome::default()),
+            "first tick is immediate"
+        );
+        let mut now = t0;
+        for k in 1..=4u32 {
+            // An idle host (zero-cost ticks) waits a full period for
+            // every grid edge and starts each tick exactly on it.
+            let (start, out) = tick_at(&mut s, now);
+            assert_eq!(start - now, period, "waits a full period");
+            assert_eq!(start, t0 + period * k, "grid edge {k}");
+            assert_eq!(out, PaceOutcome::default());
+            now = start;
         }
-        assert_eq!(clock.now() - start, 4 * period);
         assert_eq!(s.missed_deadlines(), 0);
     }
 
     #[test]
-    fn busy_ticks_sleep_only_the_remainder() {
+    fn busy_ticks_wait_only_the_remainder() {
         let period = Duration::from_millis(2);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.pace(); // anchor
-        clock.advance(period / 2); // the tick's work took half a period
-        let out = s.pace();
-        assert_eq!(out.waited, period / 2);
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        tick_at(&mut s, t0); // anchor
+        let now = t0 + period / 2; // the tick's work took half a period
+        let (start, out) = tick_at(&mut s, now);
+        assert_eq!(start - now, period / 2);
         assert_eq!(out.missed_now, 0);
         assert_eq!(s.missed_deadlines(), 0);
     }
@@ -338,18 +245,21 @@ mod tests {
     #[test]
     fn falling_behind_counts_missed_deadlines_without_debt() {
         let period = Duration::from_millis(1);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.pace(); // anchor: deadlines at t0+p, t0+2p, ...
-        clock.advance(period * 5 + period / 2); // a slow tick: now = t0 + 5.5p
-        let out = s.pace();
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        tick_at(&mut s, t0); // anchor: deadlines at t0+p, t0+2p, ...
+        let now = t0 + period * 5 + period / 2; // a slow tick, nothing armed
+        assert_eq!(s.next_ready_at(now), now, "already due");
+        let out = s.begin_tick(now);
         assert_eq!(out.missed_now, 5, "4 whole overruns + the blown edge");
         assert_eq!(out.lateness, period * 4 + period / 2);
         assert_eq!(s.missed_deadlines(), 5);
         // No catch-up burst: the next deadline is the next *grid* edge
-        // (t0 + 6p), so the following tick sleeps exactly the remainder —
+        // (t0 + 6p), so the following tick waits exactly the remainder —
         // the grid did not slip to now + period.
-        let out = s.pace();
-        assert_eq!(out.waited, period / 2);
+        let (start, out) = tick_at(&mut s, now);
+        assert_eq!(start, t0 + period * 6);
+        assert_eq!(start - now, period / 2);
         assert_eq!(out.missed_now, 0);
         assert_eq!(s.missed_deadlines(), 5, "recovered ticks book no misses");
     }
@@ -357,14 +267,15 @@ mod tests {
     #[test]
     fn sub_period_drift_is_not_silently_forgiven() {
         // A host consistently 1.25 periods slow must keep booking misses;
-        // under the old `now + period` re-anchoring it booked only the
-        // first one and then drifted forever.
+        // re-anchoring at `now + period` would book only the first one
+        // and then drift forever.
         let period = Duration::from_millis(4);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.pace(); // anchor
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let mut now = Instant::now();
+        tick_at(&mut s, now); // anchor
         for _ in 0..4 {
-            clock.advance(period * 5 / 4);
-            s.pace();
+            now += period * 5 / 4;
+            tick_at(&mut s, now);
         }
         assert!(
             s.missed_deadlines() >= 4,
@@ -374,63 +285,28 @@ mod tests {
     }
 
     #[test]
-    fn wheel_pacing_matches_the_blocking_path() {
-        // The executor protocol: next_ready_at → (wheel sleeps) →
-        // begin_tick. On a punctual host it books exactly what pace()
-        // books: zero misses, a full-period cadence.
-        let period = Duration::from_millis(2);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        let t0 = clock.now();
-        assert_eq!(s.next_ready_at(clock.now()), t0, "first tick immediate");
-        assert_eq!(s.begin_tick(clock.now()), PaceOutcome::default());
-        for k in 1..=4u32 {
-            let due = s.next_ready_at(clock.now());
-            assert_eq!(due, t0 + period * k, "grid edge {k}");
-            clock.sleep(due - clock.now()); // the wheel's recv_timeout
-            let out = s.begin_tick(clock.now());
-            assert_eq!(out.missed_now, 0);
-            assert_eq!(out.lateness, Duration::ZERO);
-        }
-        assert_eq!(s.missed_deadlines(), 0);
-    }
-
-    #[test]
     fn armed_wakeup_jitter_is_not_a_miss_but_whole_periods_are() {
         let period = Duration::from_millis(1);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.begin_tick(clock.now()); // anchor
-        let due = s.next_ready_at(clock.now());
-        // The wheel oversleeps by a quarter period: jitter, not a miss
-        // (the blocking path likewise absorbs sleep overshoot).
-        clock.sleep(due - clock.now() + period / 4);
-        let out = s.begin_tick(clock.now());
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        s.begin_tick(t0); // anchor
+        let due = s.next_ready_at(t0);
+        // The wheel oversleeps by a quarter period: jitter, not a miss.
+        let out = s.begin_tick(due + period / 4);
         assert_eq!(out.lateness, period / 4);
         assert_eq!(out.missed_now, 0);
         // A shard stalled past whole grid edges *does* book them.
-        let due = s.next_ready_at(clock.now());
-        clock.sleep(due - clock.now() + period * 2 + period / 2);
-        let out = s.begin_tick(clock.now());
+        let now = due + period / 4;
+        let due = s.next_ready_at(now);
+        let now = due + period * 2 + period / 2;
+        let out = s.begin_tick(now);
         assert_eq!(out.missed_now, 2, "two whole edges dropped");
         assert_eq!(s.missed_deadlines(), 2);
         // The grid did not slip: the next edge is on the original grid.
-        let due = s.next_ready_at(clock.now());
-        clock.sleep(due - clock.now());
-        assert_eq!(s.begin_tick(clock.now()).missed_now, 0);
+        let (start, out) = tick_at(&mut s, now);
+        assert_eq!(start, t0 + period * 5);
+        assert_eq!(out.missed_now, 0);
         assert_eq!(s.missed_deadlines(), 2);
-    }
-
-    #[test]
-    fn unarmed_overrun_still_books_the_blown_edge() {
-        // Back-to-back ticks whose work overran the slot: no arming
-        // happened, so the edge itself was blown — same math as pace().
-        let period = Duration::from_millis(1);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.begin_tick(clock.now()); // anchor
-        clock.advance(period * 5 + period / 2); // slow tick, no arm
-        assert_eq!(s.next_ready_at(clock.now()), clock.now(), "already due");
-        let out = s.begin_tick(clock.now());
-        assert_eq!(out.missed_now, 5, "4 whole overruns + the blown edge");
-        assert_eq!(s.missed_deadlines(), 5);
     }
 
     #[test]
@@ -440,19 +316,18 @@ mod tests {
         // neither, because nothing overran), and the target's first tick
         // lands on the source's grid edge — not an immediate re-anchor.
         let period = Duration::from_millis(2);
-        let (mut src, clock) = virtual_scheduler(Pace::RealTime, period);
-        src.begin_tick(clock.now()); // anchor; next edge = t0 + p
-        clock.advance(period / 4); // quiesce mid-slot
-        let phase = src.export_phase(clock.now()).expect("anchored grid");
+        let mut src = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        src.begin_tick(t0); // anchor; next edge = t0 + p
+        let now = t0 + period / 4; // quiesce mid-slot
+        let phase = src.export_phase(now).expect("anchored grid");
         assert_eq!(phase, period * 3 / 4);
         assert_eq!(src.missed_deadlines(), 0, "no overrun: source books none");
 
-        let mut dst = TickScheduler::with_clock(Pace::RealTime, period, Box::new(clock.clone()));
-        dst.import_phase(clock.now(), phase);
-        let due = dst.next_ready_at(clock.now());
-        assert_eq!(due - clock.now(), phase, "target resumes the grid");
-        clock.sleep(phase);
-        let out = dst.begin_tick(clock.now());
+        let mut dst = TickScheduler::new(Pace::RealTime, period);
+        dst.import_phase(now, phase);
+        let (start, out) = tick_at(&mut dst, now);
+        assert_eq!(start - now, phase, "target resumes the grid");
         assert_eq!(out.missed_now, 0, "in-flight slot not re-booked on target");
         assert_eq!(dst.missed_deadlines(), 0);
     }
@@ -465,44 +340,47 @@ mod tests {
         // so the target books nothing for it — and an abort-resume
         // (thaw → reset) cannot book it a second time either.
         let period = Duration::from_millis(1);
-        let (mut src, clock) = virtual_scheduler(Pace::RealTime, period);
-        src.begin_tick(clock.now()); // anchor; next edge = t0 + p
-        clock.advance(period * 2 + period / 2); // 1.5 edges overrun
-        let phase = src.export_phase(clock.now()).expect("anchored grid");
+        let mut src = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        src.begin_tick(t0); // anchor; next edge = t0 + p
+        let now = t0 + period * 2 + period / 2; // 1.5 edges overrun
+        let phase = src.export_phase(now).expect("anchored grid");
         assert_eq!(src.missed_deadlines(), 2, "in-flight overrun books once");
         assert_eq!(phase, period / 2, "phase points at the next unbooked edge");
 
         // Commit path: the target resumes at that edge, books nothing.
-        let mut dst = TickScheduler::with_clock(Pace::RealTime, period, Box::new(clock.clone()));
-        dst.import_phase(clock.now(), phase);
-        clock.sleep(phase);
-        assert_eq!(dst.begin_tick(clock.now()).missed_now, 0);
+        let mut dst = TickScheduler::new(Pace::RealTime, period);
+        dst.import_phase(now, phase);
+        assert_eq!(tick_at(&mut dst, now).1.missed_now, 0);
 
         // Abort path: the source thaws (reset) and re-anchors — the
         // frozen interval is forgiven, the booked misses stay booked
         // exactly once.
         src.reset();
-        assert_eq!(src.begin_tick(clock.now()), PaceOutcome::default());
+        assert_eq!(src.begin_tick(now), PaceOutcome::default());
         assert_eq!(src.missed_deadlines(), 2, "no double booking after abort");
     }
 
     #[test]
     fn export_phase_is_none_for_max_speed_and_unanchored_grids() {
-        let (mut s, clock) = virtual_scheduler(Pace::MaxSpeed, Duration::from_millis(1));
-        assert_eq!(s.export_phase(clock.now()), None);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, Duration::from_millis(1));
-        assert_eq!(s.export_phase(clock.now()), None, "never ticked: no grid");
+        let now = Instant::now();
+        let mut s = TickScheduler::new(Pace::MaxSpeed, Duration::from_millis(1));
+        assert_eq!(s.export_phase(now), None);
+        let mut s = TickScheduler::new(Pace::RealTime, Duration::from_millis(1));
+        assert_eq!(s.export_phase(now), None, "never ticked: no grid");
     }
 
     #[test]
     fn reset_forgives_idle_gaps() {
         let period = Duration::from_millis(1);
-        let (mut s, clock) = virtual_scheduler(Pace::RealTime, period);
-        s.pace();
-        clock.advance(5 * period);
+        let mut s = TickScheduler::new(Pace::RealTime, period);
+        let t0 = Instant::now();
+        tick_at(&mut s, t0);
+        let now = t0 + 5 * period;
         s.reset(); // the gap was idleness, not lateness
-        let out = s.pace();
-        assert_eq!(out, PaceOutcome::default(), "re-anchor, no sleep, no miss");
+        let (start, out) = tick_at(&mut s, now);
+        assert_eq!(start, now, "re-anchor without waiting");
+        assert_eq!(out, PaceOutcome::default(), "no miss booked");
         assert_eq!(s.missed_deadlines(), 0);
     }
 }

@@ -80,13 +80,9 @@ pub struct ServerConfig {
     /// Per-phase budget for live migrations: the quiesce reply, each
     /// connect attempt to the target, the adopt transfer, and the retire
     /// handshake are all individually bounded by this, so a wedged
-    /// target can only stall the control plane — never the session.
+    /// target can only stall the control plane — never the session. The
+    /// quiesce hold that thaws an abandoned migration is derived from it.
     pub migration_timeout: Duration,
-    /// How long a quiesced session stays frozen waiting for its
-    /// migration to commit or abort before it thaws itself. Must exceed
-    /// the worst-case connect + transfer time; a crashed migrator costs
-    /// at most this much ticking time.
-    pub migration_hold: Duration,
 }
 
 impl Default for ServerConfig {
@@ -104,9 +100,35 @@ impl Default for ServerConfig {
             exec_shards: 0,
             shard_worker_bin: None,
             migration_timeout: Duration::from_secs(10),
-            migration_hold: Duration::from_secs(60),
         }
     }
+}
+
+/// How the migrator dials its target: a few quick retries with
+/// seeded-jitter backoff, every attempt bounded by `migration_timeout`.
+const CONNECT_POLICY: BackoffPolicy = BackoffPolicy {
+    base: Duration::from_millis(20),
+    max: Duration::from_millis(250),
+    max_retries: 3,
+    total_deadline: None,
+    seed: 0x7A12,
+};
+
+/// How long a quiesced session stays frozen waiting for its migration
+/// to commit or abort before it thaws itself. It strictly outlasts all
+/// that `try_migrate` can spend before the target replies `Created`:
+/// the quiesce reply, every connect attempt and backoff sleep, and the
+/// adopt write and reply, each bounded by `timeout`. Every backoff
+/// sleep is at most the policy's cap plus 25% jitter. A hold any
+/// shorter would let a slow but live target adopt a session that had
+/// already thawed and ticked here. One more `timeout` of slack covers
+/// the `Retire` command's trip to the shard. A crashed migrator costs
+/// at most this much ticking time.
+fn quiesce_hold(timeout: Duration) -> Duration {
+    let attempts = CONNECT_POLICY.max_retries + 1;
+    let backoff = CONNECT_POLICY.max * 5 / 4 * CONNECT_POLICY.max_retries;
+    // Quiesce reply + connect attempts + adopt write and reply + slack.
+    timeout * (1 + attempts + 2 + 1) + backoff
 }
 
 /// One registered session: its live handle plus the encoded create
@@ -346,7 +368,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let executor = Arc::new(ShardExecutor::new(ExecutorConfig {
             shards: cfg.exec_shards,
-            transient: false,
         }));
         let ctx = Arc::new(ServerCtx {
             cfg,
@@ -888,7 +909,7 @@ impl ServerCtx {
         let (tx, rx) = mpsc::channel();
         handle
             .send(Cmd::Quiesce {
-                hold: self.cfg.migration_hold,
+                hold: quiesce_hold(self.cfg.migration_timeout),
                 reply: tx,
             })
             .map_err(|e| ("quiesce", e.to_string()))?;
@@ -949,13 +970,7 @@ impl ServerCtx {
     /// Dial the migration target, retrying with seeded-jitter backoff.
     /// Every attempt is individually bounded by `migration_timeout`.
     fn connect_target(&self, target: &str) -> Result<Client, String> {
-        let policy = BackoffPolicy {
-            base: Duration::from_millis(20),
-            max: Duration::from_millis(250),
-            max_retries: 3,
-            seed: 0x7A12,
-            ..BackoffPolicy::default()
-        };
+        let policy = &CONNECT_POLICY;
         let mut last = String::new();
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
@@ -1469,6 +1484,30 @@ impl Conn {
 /// (`closed.store(true, Release)`) racing registry readers — explored
 /// across interleavings, plus a small exhaustive DFS configuration for
 /// the handle-close vs. command-send race.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quiesce_hold_outlasts_the_pre_commit_budget() {
+        // The longest `try_migrate` can run before commit: the quiesce
+        // reply, 4 connect attempts and the adopt write + reply (7
+        // timeouts), plus the backoff sleeps `connect_target` takes.
+        let backoff: Duration = (0..CONNECT_POLICY.max_retries)
+            .map(|k| CONNECT_POLICY.delay(k))
+            .sum();
+        for timeout in [
+            Duration::from_millis(300),
+            Duration::from_secs(10),
+            Duration::from_secs(60),
+        ] {
+            let budget = timeout * 7 + backoff;
+            let hold = quiesce_hold(timeout);
+            assert!(hold > budget, "T={timeout:?}: hold {hold:?} <= {budget:?}");
+        }
+    }
+}
+
 #[cfg(all(test, tn_check))]
 mod model_tests {
     use super::*;

@@ -24,7 +24,7 @@
 //! and slow subscriber channels fail the send rather than stalling the
 //! tick.
 
-use crate::executor::{ExecutorConfig, ShardExecutor, ShardMsg};
+use crate::executor::ShardMsg;
 use crate::protocol::{ErrorCode, Health, Pace, Response, SessionStats, TickUpdate};
 use crate::scheduler::{PaceOutcome, TickScheduler};
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -294,38 +294,6 @@ impl SessionHandle {
     }
 }
 
-/// Spawn a standalone session on a private single-shard executor. The
-/// shard thread is detached; it exits once the session closes (on
-/// `Close`, idle timeout, or `Retire`) or every `SessionHandle` clone
-/// plus the executor are dropped. Servers hosting many sessions should
-/// admit them to a shared [`ShardExecutor`] instead.
-pub fn spawn_session(
-    name: String,
-    sim: Box<dyn KernelSession>,
-    cfg: SessionConfig,
-) -> SessionHandle {
-    spawn_session_resumed(name, sim, cfg, SessionStats::default(), &[])
-}
-
-/// [`spawn_session`] for an *adopted* (migrated-in) session: `base`
-/// carries the source server's cumulative counters so stats stay
-/// continuous, and `pending` re-queues the input events that had not
-/// yet reached their tick when the session was quiesced.
-pub fn spawn_session_resumed(
-    name: String,
-    sim: Box<dyn KernelSession>,
-    cfg: SessionConfig,
-    base: SessionStats,
-    pending: &[InputEvent],
-) -> SessionHandle {
-    let exec = ShardExecutor::new(ExecutorConfig {
-        shards: 1,
-        transient: true,
-    });
-    exec.admit(name, sim, cfg, base, pending, None)
-        .expect("a fresh transient executor always admits")
-}
-
 /// Model-checking constructor: a handle with no shard behind it. The
 /// test plays the shard — it gets the `closed` flag to flip (the
 /// session's exit protocol) and the shard receiver so `send` works.
@@ -579,9 +547,9 @@ impl SessionTask {
         }
     }
 
-    /// Run exactly one tick and stream it to subscribers. Returns the
-    /// pacing outcome so the shard can fold it into its own telemetry.
-    pub(crate) fn tick(&mut self, pace: PaceOutcome) -> PaceOutcome {
+    /// Run exactly one tick and stream it to subscribers; `pace` is what
+    /// the scheduler booked for it.
+    pub(crate) fn tick(&mut self, pace: PaceOutcome) {
         let tick = self.sim.current_tick();
         let energy_before = self.sim.energy_j().unwrap_or(0.0);
         let stats = self.sim.step(&mut self.source);
@@ -640,7 +608,6 @@ impl SessionTask {
             // next RunFor is idleness, not bookable lateness.
             self.scheduler.reset();
         }
-        pace
     }
 
     /// Handle one command; returns `true` when the session should close.
@@ -783,13 +750,29 @@ impl SessionTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{ExecutorConfig, ShardExecutor};
     use std::sync::mpsc;
     use tn_compass::ReferenceSim;
     use tn_core::NetworkBuilder;
 
-    fn blank_session(cfg: SessionConfig) -> SessionHandle {
+    /// Every test admits its sessions to one private single-shard
+    /// executor and shuts it down at the end.
+    fn executor() -> ShardExecutor {
+        ShardExecutor::new(ExecutorConfig { shards: 1 })
+    }
+
+    fn max_speed() -> SessionConfig {
+        SessionConfig {
+            pace: Pace::MaxSpeed,
+            ..Default::default()
+        }
+    }
+
+    fn blank_session(exec: &ShardExecutor, cfg: SessionConfig) -> SessionHandle {
         let net = NetworkBuilder::new(2, 2, 1).build();
-        spawn_session("t".into(), Box::new(ReferenceSim::new(net)), cfg)
+        let sim = Box::new(ReferenceSim::new(net));
+        exec.admit("t".into(), sim, cfg, SessionStats::default(), &[], None)
+            .expect("admit")
     }
 
     fn ask(h: &SessionHandle, mk: impl FnOnce(Sender<Response>) -> Cmd) -> Response {
@@ -800,10 +783,8 @@ mod tests {
 
     #[test]
     fn run_for_replies_after_the_ticks_ran() {
-        let h = blank_session(SessionConfig {
-            pace: Pace::MaxSpeed,
-            ..Default::default()
-        });
+        let exec = executor();
+        let h = blank_session(&exec, max_speed());
         assert_eq!(
             ask(&h, |r| Cmd::RunFor {
                 ticks: 25,
@@ -828,15 +809,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(h.is_closed());
+        exec.shutdown();
     }
 
     #[test]
     fn idle_sessions_evict_themselves() {
-        let h = blank_session(SessionConfig {
-            pace: Pace::MaxSpeed,
+        let exec = executor();
+        let cfg = SessionConfig {
             idle_timeout: Duration::from_millis(50),
-            ..Default::default()
-        });
+            ..max_speed()
+        };
+        let h = blank_session(&exec, cfg);
         assert!(!h.is_closed());
         for _ in 0..100 {
             if h.is_closed() {
@@ -848,15 +831,13 @@ mod tests {
         // Commands to an evicted session fail cleanly.
         let (tx, _rx) = mpsc::channel();
         assert!(h.send(Cmd::Stats { reply: tx }).is_err());
+        exec.shutdown();
     }
 
     #[test]
     fn snapshot_restore_between_sessions() {
-        let cfg = SessionConfig {
-            pace: Pace::MaxSpeed,
-            ..Default::default()
-        };
-        let a = blank_session(cfg.clone());
+        let exec = executor();
+        let a = blank_session(&exec, max_speed());
         ask(&a, |r| Cmd::RunFor {
             ticks: 10,
             reply: r,
@@ -865,7 +846,7 @@ mod tests {
             Response::SnapshotData { bytes } => bytes,
             other => panic!("{other:?}"),
         };
-        let b = blank_session(cfg);
+        let b = blank_session(&exec, max_speed());
         assert_eq!(
             ask(&b, |r| Cmd::Restore {
                 bytes: bytes.clone(),
@@ -885,14 +866,13 @@ mod tests {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::SnapshotRejected),
             other => panic!("{other:?}"),
         }
+        exec.shutdown();
     }
 
     #[test]
     fn metrics_scrape_is_valid_and_reconciles_with_engine_totals() {
-        let h = blank_session(SessionConfig {
-            pace: Pace::MaxSpeed,
-            ..Default::default()
-        });
+        let exec = executor();
+        let h = blank_session(&exec, max_speed());
         ask(&h, |r| Cmd::RunFor {
             ticks: 12,
             reply: r,
@@ -908,14 +888,13 @@ mod tests {
         assert!(text.contains("tn_session_ticks_total 12"), "{text}");
         assert!(text.contains("tn_kernel_ticks_total 12"), "{text}");
         assert!(text.contains("# flight-recorder"), "{text}");
+        exec.shutdown();
     }
 
     #[test]
     fn subscribers_receive_every_tick() {
-        let h = blank_session(SessionConfig {
-            pace: Pace::MaxSpeed,
-            ..Default::default()
-        });
+        let exec = executor();
+        let h = blank_session(&exec, max_speed());
         let (sink, updates) = mpsc::channel();
         assert_eq!(ask(&h, |r| Cmd::Subscribe { sink, reply: r }), Response::Ok);
         ask(&h, |r| Cmd::RunFor { ticks: 5, reply: r });
@@ -928,5 +907,6 @@ mod tests {
             }
         }
         assert_eq!(ticks, vec![0, 1, 2, 3, 4]);
+        exec.shutdown();
     }
 }
