@@ -338,21 +338,23 @@ impl FaultPlan {
     }
 }
 
-/// Per-fault-class drop counters, accumulated while the plan runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Spikes dropped because the destination core is dead.
-    pub dead_dropped: u64,
-    /// Spikes dropped by stuck-at-0 axons.
-    pub stuck_dropped: u64,
-    /// Spikes dropped during a destination's lost-sync window.
-    pub sync_dropped: u64,
-    /// Spikes dropped because both dimension-order routes were severed.
-    pub severed_dropped: u64,
-    /// Spikes dropped by lossy links.
-    pub lossy_dropped: u64,
-    /// Spikes that detoured y-then-x around a severed primary route.
-    pub rerouted: u64,
+crate::wire_table! {
+    /// Per-fault-class drop counters, accumulated while the plan runs.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FaultCounters {
+        /// Spikes dropped because the destination core is dead.
+        pub dead_dropped: u64,
+        /// Spikes dropped by stuck-at-0 axons.
+        pub stuck_dropped: u64,
+        /// Spikes dropped during a destination's lost-sync window.
+        pub sync_dropped: u64,
+        /// Spikes dropped because both dimension-order routes were severed.
+        pub severed_dropped: u64,
+        /// Spikes dropped by lossy links.
+        pub lossy_dropped: u64,
+        /// Spikes that detoured y-then-x around a severed primary route.
+        pub rerouted: u64,
+    }
 }
 
 impl FaultCounters {

@@ -10,7 +10,7 @@
 
 use crate::crossbar::ROW_WORDS;
 use crate::network::Network;
-use crate::wire::{self, ByteReader, WireError};
+use crate::wire::{ByteReader, Wire, WireError};
 use crate::{DELAY_SLOTS, NEURONS_PER_CORE};
 
 /// Dynamic state of one core.
@@ -63,25 +63,21 @@ impl NetworkSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(SNAPSHOT_HEADER_BYTES + self.size_bytes());
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        wire::put_u16(&mut buf, SNAPSHOT_VERSION);
-        wire::put_u8(&mut buf, NEURONS_PER_CORE.trailing_zeros() as u8);
-        wire::put_u8(&mut buf, DELAY_SLOTS as u8);
-        wire::put_u8(&mut buf, ROW_WORDS as u8);
-        wire::put_u64(&mut buf, self.tick);
-        wire::put_u32(&mut buf, self.cores.len() as u32);
+        SNAPSHOT_VERSION.put(&mut buf);
+        (NEURONS_PER_CORE.trailing_zeros() as u8).put(&mut buf);
+        (DELAY_SLOTS as u8).put(&mut buf);
+        (ROW_WORDS as u8).put(&mut buf);
+        self.tick.put(&mut buf);
+        (self.cores.len() as u32).put(&mut buf);
         for core in &self.cores {
-            wire::put_u8(&mut buf, core.disabled as u8);
-            wire::put_u32(&mut buf, core.prng_state);
-            wire::put_u64(&mut buf, core.prng_draws);
-            wire::put_u16(&mut buf, core.potentials.len() as u16);
-            for &v in &core.potentials {
-                wire::put_i32(&mut buf, v);
-            }
-            wire::put_u8(&mut buf, core.delay_slots.len() as u8);
+            (core.disabled as u8).put(&mut buf);
+            core.prng_state.put(&mut buf);
+            core.prng_draws.put(&mut buf);
+            (core.potentials.len() as u16).put(&mut buf);
+            i32::put_all(&core.potentials, &mut buf);
+            (core.delay_slots.len() as u8).put(&mut buf);
             for slot in &core.delay_slots {
-                for &w in slot.iter() {
-                    wire::put_u64(&mut buf, w);
-                }
+                u64::put_all(slot, &mut buf);
             }
         }
         buf
@@ -134,10 +130,7 @@ impl NetworkSnapshot {
             if n_pot != NEURONS_PER_CORE {
                 return Err(E::Shape(format!("core {c}: {n_pot} potentials")));
             }
-            let mut potentials = Vec::with_capacity(n_pot);
-            for _ in 0..n_pot {
-                potentials.push(r.i32("potential")?);
-            }
+            let potentials = i32::get_all(&mut r, n_pot)?;
             let n_slots = r.u8("slot count")? as usize;
             if n_slots != DELAY_SLOTS {
                 return Err(E::Shape(format!("core {c}: {n_slots} delay slots")));

@@ -45,7 +45,7 @@ pub use client::{Client, ClientError, SessionEvent};
 pub use executor::{default_shards, ExecutorConfig, ShardExecutor};
 pub use protocol::{
     Engine, ErrorCode, Health, ModelSource, Pace, ProtocolError, Request, Response, SessionEntry,
-    SessionStats, TickUpdate, PROTOCOL_VERSION,
+    SessionStats, TickUpdate,
 };
 pub use resilient::{BackoffPolicy, ReconnectingClient, RetrySequence, SessionSpec};
 pub use server::{Server, ServerConfig, ServerHandle};

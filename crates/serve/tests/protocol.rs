@@ -9,12 +9,12 @@
 //! across the serving layer.
 
 use std::time::{Duration, Instant};
-use tn_core::wire;
+use tn_core::wire::{self, Wire};
 use tn_core::{
     modelfile, CoreConfig, CoreId, Crossbar, Dest, LintConfig, Network, NetworkBuilder,
     NeuronConfig, ScheduledSource, NEURONS_PER_CORE,
 };
-use tn_serve::protocol::{frame, OP_CREATE_SESSION, OP_PING};
+use tn_serve::protocol::{frame, OP_ADOPT_SESSION, OP_CREATE_SESSION, OP_PING};
 use tn_serve::{
     Client, Engine, ErrorCode, ModelSource, Pace, Request, Response, Server, ServerConfig,
     ServerHandle,
@@ -117,34 +117,34 @@ fn malformed_frames_get_clean_errors() {
         ("unknown engine", {
             let mut p = Vec::new();
             wire::put_str(&mut p, "x");
-            wire::put_u8(&mut p, 9); // no such engine
-            wire::put_u8(&mut p, 0);
-            wire::put_u8(&mut p, 0);
-            wire::put_u16(&mut p, 2);
-            wire::put_u16(&mut p, 2);
-            wire::put_u64(&mut p, 0);
+            9u8.put(&mut p); // no such engine
+            0u8.put(&mut p);
+            0u8.put(&mut p);
+            2u16.put(&mut p);
+            2u16.put(&mut p);
+            0u64.put(&mut p);
             frame(OP_CREATE_SESSION, &p)
         }),
         ("empty session name", {
             let mut p = Vec::new();
             wire::put_str(&mut p, "");
-            wire::put_u8(&mut p, 0);
-            wire::put_u8(&mut p, 0);
-            wire::put_u8(&mut p, 0);
-            wire::put_u16(&mut p, 2);
-            wire::put_u16(&mut p, 2);
-            wire::put_u64(&mut p, 0);
+            0u8.put(&mut p);
+            0u8.put(&mut p);
+            0u8.put(&mut p);
+            2u16.put(&mut p);
+            2u16.put(&mut p);
+            0u64.put(&mut p);
             frame(OP_CREATE_SESSION, &p)
         }),
         ("degenerate grid", {
             let mut p = Vec::new();
             wire::put_str(&mut p, "x");
-            wire::put_u8(&mut p, 0);
-            wire::put_u8(&mut p, 0);
-            wire::put_u8(&mut p, 0);
-            wire::put_u16(&mut p, 0); // 0×2 grid
-            wire::put_u16(&mut p, 2);
-            wire::put_u64(&mut p, 0);
+            0u8.put(&mut p);
+            0u8.put(&mut p);
+            0u8.put(&mut p);
+            0u16.put(&mut p); // 0×2 grid
+            2u16.put(&mut p);
+            0u64.put(&mut p);
             frame(OP_CREATE_SESSION, &p)
         }),
         ("wrong protocol version", {
@@ -167,9 +167,9 @@ fn malformed_frames_get_clean_errors() {
 
     // A hostile length is unrecoverable: one final error, then hangup.
     let mut hostile = Vec::new();
-    wire::put_u32(&mut hostile, u32::MAX);
-    wire::put_u8(&mut hostile, 1);
-    wire::put_u8(&mut hostile, OP_PING);
+    u32::MAX.put(&mut hostile);
+    1u8.put(&mut hostile);
+    OP_PING.put(&mut hostile);
     client.send_raw(&hostile).unwrap();
     match client.read_any().unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
@@ -181,6 +181,29 @@ fn malformed_frames_get_clean_errors() {
     );
 
     // Fresh connections are unaffected.
+    let mut fresh = Client::connect(server.addr()).unwrap();
+    assert_eq!(fresh.ping().unwrap(), Response::Pong);
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_adopt_is_refused_and_the_server_survives() {
+    let (server, mut client) = spawn(|_| {});
+    // An adopt whose nested "create" is an adopt, 20,000 levels down to
+    // an empty Ping frame: 14 bytes a level, far under the frame cap.
+    // The server must refuse it at the first level, without recursing.
+    let mut f = frame(OP_PING, &[]);
+    for _ in 0..20_000 {
+        let mut p = Vec::with_capacity(f.len() + 4);
+        wire::put_list(&mut p, &f);
+        f = frame(OP_ADOPT_SESSION, &p);
+    }
+    assert_eq!(f.len(), 280_010);
+    client.send_raw(&f).unwrap();
+    match client.read_any().unwrap() {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("{other:?}"),
+    }
     let mut fresh = Client::connect(server.addr()).unwrap();
     assert_eq!(fresh.ping().unwrap(), Response::Pong);
     server.shutdown();
