@@ -97,13 +97,12 @@ fn placement() {
         fmt_sig(good.stats().mean_hops()),
         fmt_sig(bad.stats().mean_hops() / good.stats().mean_hops().max(1e-9)),
     ]);
+    let hop_uj = |s: &TrueNorthSim| s.accounting().energy_realtime().hop_j * 1e6;
     t.row(vec![
         "NoC hop energy (uJ/100 ticks)".into(),
-        fmt_sig(bad.policy().energy_realtime().hop_j * 1e6),
-        fmt_sig(good.policy().energy_realtime().hop_j * 1e6),
-        fmt_sig(
-            bad.policy().energy_realtime().hop_j / good.policy().energy_realtime().hop_j.max(1e-18),
-        ),
+        fmt_sig(hop_uj(&bad)),
+        fmt_sig(hop_uj(&good)),
+        fmt_sig(hop_uj(&bad) / hop_uj(&good).max(1e-12)),
     ]);
     t.print();
 }

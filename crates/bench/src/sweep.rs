@@ -67,9 +67,9 @@ pub fn run_recurrent_net(p: &RecurrentParams, warmup: u64, ticks: u64) -> NetRes
         totals,
         total_hops: after.total_hops - before.total_hops,
         boundary_crossings: after.boundary_crossings - before.boundary_crossings,
-        worst_core: sim.policy().worst_core_load(),
-        worst_link: sim.policy().worst_noc_loads().0,
-        worst_boundary: sim.policy().worst_noc_loads().1,
+        worst_core: sim.accounting().worst_core_load(),
+        worst_link: sim.accounting().worst_noc_loads().0,
+        worst_boundary: sim.accounting().worst_noc_loads().1,
         chips,
         neurons,
         host_seconds: after.wall_seconds,

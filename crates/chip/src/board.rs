@@ -10,7 +10,6 @@
 //! spike-I/O budgeting.
 
 use crate::energy::EnergyModel;
-use crate::mesh::LinkAccounting;
 use crate::timing::TimingModel;
 use crate::tnsim::{ChipModel, TrueNorthSim};
 use tn_core::{Network, NetworkBuilder, CHIP_CORES_X, CHIP_CORES_Y};
@@ -104,9 +103,8 @@ impl Board {
             &net,
             EnergyModel::at_voltage(volts),
             TimingModel::at_voltage(volts),
-            LinkAccounting::Exact,
         );
-        TrueNorthSim::with_policy(net, model)
+        TrueNorthSim::with_accounting(net, model)
     }
 
     /// Total board power given the chip array's power: array + support.

@@ -4,17 +4,17 @@
 //! million synapse brain-inspired neurosynaptic processor, that consumes
 //! 65mW of power running at real-time and delivers 46 Giga-Synaptic
 //! OPS/Watt". We cannot fabricate silicon, so this crate is an
-//! *architectural simulator* of the chip that executes the exact same
-//! blueprint semantics as `tn-compass` (enabling the paper's 1:1
-//! equivalence regressions) while additionally modelling what the silicon
-//! adds:
+//! *architectural simulator* of the chip: `tn-compass`'s tick driver
+//! runs the kernel and delivers every spike (so the paper's 1:1
+//! equivalence regressions hold by construction), and this crate's
+//! [`ChipModel`] counts what the silicon adds:
 //!
 //! * the **2D mesh network-on-chip** with five-port routers and
 //!   deadlock-free dimension-order routing ([`mesh`], [`router`]),
 //! * **merge–split peripheral blocks** that serialize packets across chip
 //!   boundaries, enabling seamless multi-chip tiling ([`mesh`]),
 //! * **fault tolerance**: defective cores are disabled and spike events
-//!   are routed around them ([`mesh::DefectMap`]),
+//!   are charged the detour around them ([`mesh::DefectMap`]),
 //! * a calibrated component **energy model** (leak + neuron evaluation +
 //!   crossbar row read + synaptic accumulate + packet hop) ([`energy`]),
 //! * a **timing model** giving the maximum tick frequency as a function of
@@ -39,7 +39,7 @@ pub mod voltage;
 
 pub use board::Board;
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use mesh::{DefectMap, LinkAccounting, Mesh};
+pub use mesh::{DefectMap, Mesh};
 pub use router::{route_path, RoutePath};
 pub use stream::{stream_channel, Injector, OfferOutcome, StreamSource};
 pub use timing::TimingModel;

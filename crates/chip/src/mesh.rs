@@ -65,17 +65,6 @@ impl DefectMap {
     }
 }
 
-/// How precisely per-link loads are tracked.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LinkAccounting {
-    /// Exact per-link occupancy via difference arrays (default).
-    #[default]
-    Exact,
-    /// Skip link accounting entirely (hops/crossings still counted);
-    /// useful when only energy, not timing, is needed.
-    Off,
-}
-
 /// Aggregate NoC loads for one tick.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NocTickLoads {
@@ -87,8 +76,6 @@ pub struct NocTickLoads {
     pub total_hops: u64,
     /// Total chip-boundary crossings this tick.
     pub boundary_crossings: u64,
-    /// Packets dropped because their destination core was defective.
-    pub undeliverable: u64,
 }
 
 /// Mesh occupancy tracker for a `width × height` core grid (possibly
@@ -96,7 +83,6 @@ pub struct NocTickLoads {
 pub struct Mesh {
     width: u16,
     height: u16,
-    accounting: LinkAccounting,
     pub defects: DefectMap,
     /// Difference array per row for horizontal links: `h_diff[y][x]`
     /// covers link (x,y)→(x+1,y).
@@ -112,16 +98,11 @@ pub struct Mesh {
 
 impl Mesh {
     pub fn new(width: u16, height: u16) -> Self {
-        Self::with_accounting(width, height, LinkAccounting::Exact)
-    }
-
-    pub fn with_accounting(width: u16, height: u16, accounting: LinkAccounting) -> Self {
         let chips_x = (width as usize).div_ceil(CHIP_CORES_X);
         let chips_y = (height as usize).div_ceil(CHIP_CORES_Y);
         Mesh {
             width,
             height,
-            accounting,
             defects: DefectMap::new(width, height),
             h_diff: vec![0; width as usize * height as usize],
             v_diff: vec![0; width as usize * height as usize],
@@ -141,47 +122,38 @@ impl Mesh {
 
     /// Reset per-tick accumulators.
     pub fn begin_tick(&mut self) {
-        if self.accounting == LinkAccounting::Exact {
-            self.h_diff.fill(0);
-            self.v_diff.fill(0);
-        }
+        self.h_diff.fill(0);
+        self.v_diff.fill(0);
         self.vb_loads.fill(0);
         self.hb_loads.fill(0);
         self.loads = NocTickLoads::default();
     }
 
     /// Route one packet, accumulating loads. Returns the hop count, or
-    /// `None` if the destination is defective (packet dropped).
+    /// `None` (nothing charged) if the destination is defective: a dead
+    /// core receives nothing.
     pub fn route(&mut self, src: CoreCoord, dst: CoreCoord) -> Option<u32> {
-        let path = match crate::router::route_path(src, dst, &self.defects) {
-            Some(p) => p,
-            None => {
-                self.loads.undeliverable += 1;
-                return None;
-            }
-        };
+        let path = crate::router::route_path(src, dst, &self.defects)?;
         self.loads.total_hops += path.hops as u64;
         self.loads.boundary_crossings += path.boundary_crossings as u64;
 
-        if self.accounting == LinkAccounting::Exact {
-            // x-leg occupies horizontal links [min_x, max_x) in row src.y.
-            let w = self.width as usize;
-            if src.x != dst.x {
-                let (a, b) = (src.x.min(dst.x) as usize, src.x.max(dst.x) as usize);
-                let row = src.y as usize * w;
-                self.h_diff[row + a] += 1;
-                if row + b < self.h_diff.len() {
-                    self.h_diff[row + b] -= 1;
-                }
+        // x-leg occupies horizontal links [min_x, max_x) in row src.y.
+        let w = self.width as usize;
+        if src.x != dst.x {
+            let (a, b) = (src.x.min(dst.x) as usize, src.x.max(dst.x) as usize);
+            let row = src.y as usize * w;
+            self.h_diff[row + a] += 1;
+            if row + b < self.h_diff.len() {
+                self.h_diff[row + b] -= 1;
             }
-            // y-leg occupies vertical links [min_y, max_y) in column dst.x.
-            if src.y != dst.y {
-                let (a, b) = (src.y.min(dst.y) as usize, src.y.max(dst.y) as usize);
-                let col = dst.x as usize;
-                self.v_diff[a * w + col] += 1;
-                if b * w + col < self.v_diff.len() {
-                    self.v_diff[b * w + col] -= 1;
-                }
+        }
+        // y-leg occupies vertical links [min_y, max_y) in column dst.x.
+        if src.y != dst.y {
+            let (a, b) = (src.y.min(dst.y) as usize, src.y.max(dst.y) as usize);
+            let col = dst.x as usize;
+            self.v_diff[a * w + col] += 1;
+            if b * w + col < self.v_diff.len() {
+                self.v_diff[b * w + col] -= 1;
             }
         }
 
@@ -211,22 +183,20 @@ impl Mesh {
     /// heaviest link and boundary, and return the tick's loads.
     pub fn finish_tick(&mut self) -> NocTickLoads {
         let mut max_link: i64 = 0;
-        if self.accounting == LinkAccounting::Exact {
-            let w = self.width as usize;
-            let h = self.height as usize;
-            for y in 0..h {
-                let mut acc = 0i64;
-                for x in 0..w {
-                    acc += self.h_diff[y * w + x];
-                    max_link = max_link.max(acc);
-                }
-            }
+        let w = self.width as usize;
+        let h = self.height as usize;
+        for y in 0..h {
+            let mut acc = 0i64;
             for x in 0..w {
-                let mut acc = 0i64;
-                for y in 0..h {
-                    acc += self.v_diff[y * w + x];
-                    max_link = max_link.max(acc);
-                }
+                acc += self.h_diff[y * w + x];
+                max_link = max_link.max(acc);
+            }
+        }
+        for x in 0..w {
+            let mut acc = 0i64;
+            for y in 0..h {
+                acc += self.v_diff[y * w + x];
+                max_link = max_link.max(acc);
             }
         }
         self.loads.max_link_load = max_link as u64;
@@ -308,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn undeliverable_packets_counted() {
+    fn packets_to_defective_cores_are_not_charged() {
         let mut m = Mesh::new(8, 8);
         m.defects.disable(CoreCoord::new(7, 7));
         m.begin_tick();
@@ -316,17 +286,7 @@ mod tests {
             .route(CoreCoord::new(0, 0), CoreCoord::new(7, 7))
             .is_none());
         let loads = m.finish_tick();
-        assert_eq!(loads.undeliverable, 1);
         assert_eq!(loads.total_hops, 0);
-    }
-
-    #[test]
-    fn accounting_off_still_counts_hops() {
-        let mut m = Mesh::with_accounting(8, 8, LinkAccounting::Off);
-        m.begin_tick();
-        m.route(CoreCoord::new(0, 0), CoreCoord::new(4, 4));
-        let loads = m.finish_tick();
-        assert_eq!(loads.total_hops, 8);
-        assert_eq!(loads.max_link_load, 0, "link tracking disabled");
+        assert_eq!(loads.max_link_load, 0);
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::mesh::DefectMap;
 use tn_core::CoreCoord;
-use tn_core::{CHIP_CORES_X, CHIP_CORES_Y};
 
 /// Routing summary for one packet.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,8 +27,8 @@ pub struct RoutePath {
 
 /// Compute the dimension-order route from `src` to `dst`.
 ///
-/// Returns `None` if the *destination* core is defective (the packet is
-/// undeliverable; valid configurations never target disabled cores).
+/// Returns `None` if the *destination* core is defective: a disabled core
+/// receives nothing, so there is no route to charge.
 /// Defective routers strictly inside the path are detoured around at a
 /// cost of 2 extra hops each.
 pub fn route_path(src: CoreCoord, dst: CoreCoord, defects: &DefectMap) -> Option<RoutePath> {
@@ -82,39 +81,6 @@ pub fn route_path(src: CoreCoord, dst: CoreCoord, defects: &DefectMap) -> Option
     })
 }
 
-/// Mean hop distance of a set of (src, dst) pairs — the statistic the
-/// paper reports for its recurrent networks ("neurons project to axons
-/// that are an average of 21.66 hops (cores) away both in x and y").
-pub fn mean_hops(pairs: impl Iterator<Item = (CoreCoord, CoreCoord)>) -> (f64, f64) {
-    let mut n = 0u64;
-    let (mut sx, mut sy) = (0u64, 0u64);
-    for (a, b) in pairs {
-        sx += a.x.abs_diff(b.x) as u64;
-        sy += a.y.abs_diff(b.y) as u64;
-        n += 1;
-    }
-    if n == 0 {
-        (0.0, 0.0)
-    } else {
-        (sx as f64 / n as f64, sy as f64 / n as f64)
-    }
-}
-
-/// Whether a route stays within one chip (never touches merge–split
-/// blocks).
-pub fn intra_chip(src: CoreCoord, dst: CoreCoord) -> bool {
-    src.chip() == dst.chip()
-}
-
-/// For multi-chip arrays: which peripheral link (west/east/north/south
-/// edge index) a packet uses when leaving a chip — used by the boundary
-/// load accounting. Returns crossing count per axis.
-pub fn crossings_per_axis(src: CoreCoord, dst: CoreCoord) -> (u32, u32) {
-    let x = (src.x as usize / CHIP_CORES_X).abs_diff(dst.x as usize / CHIP_CORES_X) as u32;
-    let y = (src.y as usize / CHIP_CORES_Y).abs_diff(dst.y as usize / CHIP_CORES_Y) as u32;
-    (x, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,7 +102,7 @@ mod tests {
     }
 
     #[test]
-    fn defective_destination_undeliverable() {
+    fn defective_destination_has_no_route() {
         let mut d = DefectMap::new(8, 8);
         d.disable(CoreCoord::new(4, 4));
         assert!(route_path(CoreCoord::new(0, 0), CoreCoord::new(4, 4), &d).is_none());
@@ -185,22 +151,5 @@ mod tests {
         // (10,10) on chip (0,0) → (200,200) on chip (3,3).
         let r = route_path(CoreCoord::new(10, 10), CoreCoord::new(200, 200), &d).unwrap();
         assert_eq!(r.boundary_crossings, 6);
-        assert!(intra_chip(CoreCoord::new(0, 0), CoreCoord::new(63, 63)));
-        assert!(!intra_chip(CoreCoord::new(0, 0), CoreCoord::new(64, 0)));
-        assert_eq!(
-            crossings_per_axis(CoreCoord::new(10, 10), CoreCoord::new(200, 200)),
-            (3, 3)
-        );
-    }
-
-    #[test]
-    fn mean_hops_statistic() {
-        let pairs = vec![
-            (CoreCoord::new(0, 0), CoreCoord::new(10, 20)),
-            (CoreCoord::new(5, 5), CoreCoord::new(5, 5)),
-        ];
-        let (mx, my) = mean_hops(pairs.into_iter());
-        assert!((mx - 5.0).abs() < 1e-12);
-        assert!((my - 10.0).abs() < 1e-12);
     }
 }

@@ -102,25 +102,6 @@ impl TimingModel {
     pub fn fmax_khz(&self, max_core: &CoreLoad, max_link_load: u64, max_boundary_load: u64) -> f64 {
         1e-3 / self.tick_period_s(max_core, max_link_load, max_boundary_load)
     }
-
-    /// Worst-case packets one mesh link can serialize within a real-time
-    /// (1 kHz) tick at this voltage — the capacity bound handed to the
-    /// static TN008 link-bandwidth lint so offline verification and this
-    /// timing model agree.
-    pub fn link_capacity_per_tick(&self) -> u64 {
-        (tn_core::TICK_SECONDS * self.voltage.speed_scale() / self.t_link) as u64
-    }
-
-    /// Whether the chip can sustain real-time (1 kHz) operation under this
-    /// load.
-    pub fn realtime_capable(
-        &self,
-        max_core: &CoreLoad,
-        max_link_load: u64,
-        max_boundary_load: u64,
-    ) -> bool {
-        self.fmax_khz(max_core, max_link_load, max_boundary_load) >= 1.0
-    }
 }
 
 /// The uniform per-core load of the paper's characterization workloads:
@@ -159,7 +140,6 @@ mod tests {
         let tm = TimingModel::default();
         let f = tm.fmax_khz(&uniform_core_load(200.0, 256.0), 0, 0);
         assert!((0.8..=1.4).contains(&f), "corner fmax {f} kHz should be ≈1");
-        assert!(tm.realtime_capable(&uniform_core_load(20.0, 128.0), 0, 0));
     }
 
     #[test]

@@ -16,8 +16,6 @@
 pub const V_NOMINAL: f64 = 0.75;
 /// Minimum voltage for correct functional operation (paper: ~700 mV).
 pub const V_MIN: f64 = 0.70;
-/// Maximum voltage exercised by the paper's regressions.
-pub const V_MAX: f64 = 1.05;
 /// Effective threshold voltage of the speed model.
 pub const V_TH: f64 = 0.55;
 

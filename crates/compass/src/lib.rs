@@ -8,10 +8,12 @@
 //! * [`phases`] — the tick's four phase bodies (Faults → Input → Neurons
 //!   → Routing), written once and called by every engine;
 //! * [`driver::TickDriver`] — the single-threaded driver over those
-//!   phases, parameterised by a routing policy. With the [`Direct`]
-//!   policy it is [`ReferenceSim`], the obviously-correct ground truth of
-//!   the 1:1 equivalence regressions; `tn-chip` supplies the mesh +
-//!   timing + energy policy that makes it the chip simulator; and
+//!   phases and the one place a single-threaded engine delivers a spike,
+//!   parameterised by what it counts ([`TickAccounting`]). With the
+//!   [`Direct`] accounting, which counts nothing, it is [`ReferenceSim`],
+//!   the obviously-correct ground truth of the 1:1 equivalence
+//!   regressions; `tn-chip` supplies the mesh + timing + energy cost
+//!   model that makes it the chip simulator; and
 //! * [`parallel::ParallelSim`] — the multithreaded simulator mirroring the
 //!   Compass design: cores partitioned across threads with load balancing,
 //!   the same phases run per worker over its owned range, pairwise spike
@@ -31,7 +33,7 @@ pub mod phases;
 pub mod session;
 pub(crate) mod sync;
 
-pub use driver::{Direct, ReferenceSim, RoutePolicy, TickDriver};
+pub use driver::{Direct, ReferenceSim, TickAccounting, TickDriver};
 pub use output::{OutputEvent, SpikeRecord};
 pub use parallel::ParallelSim;
 pub use partition::{owner_of, weighted_split_points};

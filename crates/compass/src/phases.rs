@@ -7,7 +7,9 @@
 //! cores* and *where a surviving spike goes next*:
 //!
 //! * [`crate::TickDriver`] (the reference and chip engines) owns the
-//!   whole network and hands spikes to its routing policy;
+//!   whole network, delivers every spike itself, and shows each packet
+//!   to its accounting (the chip's cost model, or `Direct`, which counts
+//!   nothing);
 //! * a [`crate::ParallelSim`] worker owns one contiguous range and
 //!   buckets spikes into the parity mailboxes;
 //! * a `tn-shard` worker mirrors the whole network, ticks one range, and
@@ -20,6 +22,10 @@
 //! advance identically everywhere, so send-side filtering agrees across
 //! owners and every drop is counted exactly once (by the firing side for
 //! spikes, by the destination owner for external input).
+//!
+//! Every delivery, whoever makes it, ends in `NeurosynapticCore::deliver`,
+//! which discards the event when the target core is disabled — so no
+//! engine can schedule an event on a dead core.
 
 use std::ops::Range;
 use tn_core::fault::FaultState;

@@ -11,7 +11,7 @@
 use crate::crossbar::ROW_WORDS;
 use crate::network::Network;
 use crate::wire::{ByteReader, Wire, WireError};
-use crate::{DELAY_SLOTS, NEURONS_PER_CORE};
+use crate::{DELAY_SLOTS, NEURONS_PER_CORE, POTENTIAL_MAX, POTENTIAL_MIN};
 
 /// Dynamic state of one core.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -85,8 +85,9 @@ impl NetworkSnapshot {
 
     /// Decode bytes produced by [`Self::to_bytes`]. Every malformed input
     /// — wrong magic, truncated records, mismatched shape constants,
-    /// lying core counts — yields a [`SnapshotDecodeError`]; no input can
-    /// panic this path.
+    /// lying core counts, states no kernel can reach — yields a
+    /// [`SnapshotDecodeError`]; no input can panic this path, and a
+    /// snapshot that decodes can be restored and run.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotDecodeError> {
         use SnapshotDecodeError as E;
         let mut r = ByteReader::new(bytes);
@@ -125,12 +126,21 @@ impl NetworkSnapshot {
                 v => return Err(E::Shape(format!("core {c}: bad disabled flag {v}"))),
             };
             let prng_state = r.u32("prng state")?;
+            if prng_state == 0 {
+                return Err(E::Invalid(format!("core {c}: LFSR state 0")));
+            }
             let prng_draws = r.u64("prng draws")?;
             let n_pot = r.u16("potential count")? as usize;
             if n_pot != NEURONS_PER_CORE {
                 return Err(E::Shape(format!("core {c}: {n_pot} potentials")));
             }
             let potentials = i32::get_all(&mut r, n_pot)?;
+            if let Some(v) = potentials
+                .iter()
+                .find(|v| !(POTENTIAL_MIN..=POTENTIAL_MAX).contains(v))
+            {
+                return Err(E::Invalid(format!("core {c}: potential {v} out of range")));
+            }
             let n_slots = r.u8("slot count")? as usize;
             if n_slots != DELAY_SLOTS {
                 return Err(E::Shape(format!("core {c}: {n_slots} delay slots")));
@@ -171,6 +181,8 @@ pub enum SnapshotDecodeError {
     BadVersion(u16),
     /// A count or flag disagrees with this build's core shape.
     Shape(String),
+    /// A value no running kernel can hold.
+    Invalid(String),
     /// Truncated or malformed bytes.
     Wire(WireError),
 }
@@ -187,6 +199,7 @@ impl std::fmt::Display for SnapshotDecodeError {
             SnapshotDecodeError::BadMagic => write!(f, "not a TNS1 snapshot (bad magic)"),
             SnapshotDecodeError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotDecodeError::Shape(s) => write!(f, "snapshot shape mismatch: {s}"),
+            SnapshotDecodeError::Invalid(s) => write!(f, "snapshot state invalid: {s}"),
             SnapshotDecodeError::Wire(e) => write!(f, "{e}"),
         }
     }
@@ -332,6 +345,18 @@ mod tests {
             NetworkSnapshot::from_bytes(&lying),
             Err(SnapshotDecodeError::Shape(_))
         ));
+        // A state the kernel cannot run is refused: LFSR state 0 (the
+        // fixed point) and a potential outside the 20-bit range.
+        let mut zero_lfsr = good.clone();
+        zero_lfsr[22..26].copy_from_slice(&0u32.to_le_bytes());
+        let mut huge = good.clone();
+        huge[36..40].copy_from_slice(&i32::MAX.to_le_bytes());
+        for bad in [zero_lfsr, huge] {
+            assert!(matches!(
+                NetworkSnapshot::from_bytes(&bad),
+                Err(SnapshotDecodeError::Invalid(_))
+            ));
+        }
         // Trailing junk is refused.
         let mut long = good;
         long.push(0);

@@ -288,7 +288,9 @@ mod tests {
             "placement should cut mesh hops: {good_hops} vs {bad_hops}"
         );
         // ... and therefore NoC energy.
-        assert!(good.policy().energy_realtime().hop_j < bad.policy().energy_realtime().hop_j);
+        assert!(
+            good.accounting().energy_realtime().hop_j < bad.accounting().energy_realtime().hop_j
+        );
     }
 
     #[test]

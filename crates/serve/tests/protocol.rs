@@ -506,6 +506,50 @@ fn snapshot_restores_across_sessions() {
 }
 
 #[test]
+fn unrunnable_snapshots_are_rejected_and_the_shard_keeps_ticking() {
+    // Both sessions share the one executor shard: a restore that panicked
+    // the shard would take the neighbour down with it.
+    let (server, mut client) = spawn(|c| {
+        c.max_speed = true;
+        c.exec_shards = 1;
+    });
+    client
+        .set_io_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let model = ModelSource::Model(modelfile::save(&output_net()));
+    for name in ["victim", "neighbour"] {
+        client
+            .create_session(name, Engine::Reference, Pace::MaxSpeed, model.clone())
+            .unwrap();
+    }
+    assert_eq!(client.run_for("victim", 5).unwrap(), Response::Ok);
+    let good = match client.snapshot("victim").unwrap() {
+        Response::SnapshotData { bytes } => bytes,
+        other => panic!("{other:?}"),
+    };
+    // TNS1 byte offsets of core 0's LFSR state and first potential.
+    let mut zero_lfsr = good.clone();
+    zero_lfsr[22..26].copy_from_slice(&0u32.to_le_bytes());
+    let mut huge_potential = good;
+    huge_potential[36..40].copy_from_slice(&i32::MAX.to_le_bytes());
+    for bad in [zero_lfsr, huge_potential] {
+        match client.restore("victim", bad).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::SnapshotRejected),
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(client.run_for("neighbour", 10).unwrap(), Response::Ok);
+    assert_eq!(client.run_for("victim", 10).unwrap(), Response::Ok);
+    for (name, tick) in [("neighbour", 10), ("victim", 15)] {
+        match client.stats(name).unwrap() {
+            Response::StatsData(s) => assert_eq!(s.tick, tick, "{name}"),
+            other => panic!("{other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn real_time_sessions_hold_the_tick() {
     let (server, mut client) = spawn(|c| {
         c.tick_period = Duration::from_millis(2);

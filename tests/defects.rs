@@ -3,8 +3,9 @@
 
 use tn_apps::recurrent::{build_recurrent, RecurrentParams};
 use tn_chip::TrueNorthSim;
+use tn_compass::{ReferenceSim, TickAccounting, TickDriver};
 use tn_core::network::NullSource;
-use tn_core::CoreCoord;
+use tn_core::{CoreCoord, NetworkSnapshot};
 
 fn params() -> RecurrentParams {
     RecurrentParams {
@@ -89,4 +90,68 @@ fn spikes_to_dead_cores_are_dropped_not_crashing() {
     }
     let stats = sim.run(80, &mut NullSource);
     assert!(stats.totals.spikes_out > 0, "the rest keeps running");
+}
+
+/// Cores killed in the equivalence tests: mid-board, edge and corner.
+const DEAD: [(u16, u16); 3] = [(2, 6), (5, 1), (7, 7)];
+
+/// What the engines must agree on: state digest, output digest, spikes,
+/// and the events left pending on each dead core.
+fn observe<P: TickAccounting>(sim: &mut TickDriver<P>) -> (u64, u64, u64, Vec<u32>) {
+    let pending = DEAD
+        .iter()
+        .map(|&(x, y)| {
+            let id = sim.network().id_of(CoreCoord::new(x, y));
+            sim.network().core(id).pending_events()
+        })
+        .collect();
+    (
+        sim.network().state_digest(),
+        sim.outputs().digest(),
+        sim.stats().totals.spikes_out,
+        pending,
+    )
+}
+
+/// A board with the `DEAD` cores injected, run for `ticks`.
+fn damaged<P: TickAccounting>(ticks: u64) -> TickDriver<P> {
+    let mut sim = TickDriver::<P>::new(build_recurrent(&params()));
+    for &(x, y) in &DEAD {
+        sim.inject_defect(CoreCoord::new(x, y));
+    }
+    sim.run(ticks, &mut NullSource);
+    sim
+}
+
+#[test]
+fn reference_and_chip_agree_under_defects() {
+    let mut reference = damaged::<tn_compass::Direct>(60);
+    let mut chip = damaged::<tn_chip::ChipModel>(60);
+    let (r, c) = (observe(&mut reference), observe(&mut chip));
+    assert_eq!(r, c, "reference and chip diverge under the same defects");
+    assert_eq!(r.3, vec![0; DEAD.len()], "a dead core holds no events");
+    assert!(r.2 > 0, "the rest of the board keeps firing");
+}
+
+#[test]
+fn post_defect_checkpoint_resumes_identically_on_both_engines() {
+    let continuous = damaged::<tn_compass::Direct>(70);
+    let snap =
+        NetworkSnapshot::from_bytes(&damaged::<tn_chip::ChipModel>(30).checkpoint().to_bytes())
+            .expect("snapshot decodes");
+
+    // Fresh engines with no defects injected and no fault plan: the
+    // snapshot alone carries the dead cores.
+    let mut reference = ReferenceSim::new(build_recurrent(&params()));
+    reference.restore(&snap);
+    reference.run(40, &mut NullSource);
+    let mut chip = TrueNorthSim::new(build_recurrent(&params()));
+    chip.restore(&snap);
+    chip.run(40, &mut NullSource);
+
+    let (r, c) = (observe(&mut reference), observe(&mut chip));
+    assert_eq!(r, c, "restored reference and chip diverge");
+    assert_eq!(r.3, vec![0; DEAD.len()], "a dead core holds no events");
+    assert_eq!(r.0, continuous.network().state_digest());
+    assert_eq!(chip.accounting().mesh.defects.count(), DEAD.len() as u32);
 }

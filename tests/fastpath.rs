@@ -14,8 +14,9 @@
 use tn_chip::TrueNorthSim;
 use tn_compass::{ParallelSim, ReferenceSim};
 use tn_core::{
-    CoreConfig, CoreId, Crossbar, Dest, FaultPlan, Network, NetworkBuilder, NeuronConfig,
-    ResetMode, ScheduledSource, SpikeTarget, SplitMix64, POTENTIAL_MAX,
+    CoreConfig, CoreId, Crossbar, Dest, FaultPlan, Network, NetworkBuilder, NetworkSnapshot,
+    NeuronConfig, ResetMode, ScheduledSource, SpikeTarget, SplitMix64, POTENTIAL_MAX,
+    POTENTIAL_MIN,
 };
 
 const GRID_W: u16 = 4;
@@ -378,6 +379,36 @@ fn soa_snapshot_restore_is_byte_identical_and_resumable() {
     resumed_s.restore(&snap);
     resumed_s.run(TICKS - half, &mut driving_source(seed));
     assert_eq!(resumed_s.network().state_digest(), uninterrupted.0);
+}
+
+#[test]
+fn every_snapshot_that_decodes_runs_identically_fast_and_scalar() {
+    // Random dynamic states anywhere inside the decode invariants — any
+    // non-zero LFSR state, any 20-bit potential, random pending events —
+    // restored onto the nasty random networks: the fast paths and the
+    // scalar oracle must still agree.
+    for seed in [3u64, 0xBAD_5EED, 77_777] {
+        let mut rng = SplitMix64::new(seed);
+        let mut snap = ReferenceSim::new(random_net(seed)).checkpoint();
+        for core in &mut snap.cores {
+            core.prng_state = 1 + rng.below(u32::MAX as u64) as u32;
+            for v in &mut core.potentials {
+                *v = rng.range_inclusive_i64(POTENTIAL_MIN as i64, POTENTIAL_MAX as i64) as i32;
+            }
+            for w in core.delay_slots.iter_mut().flatten() {
+                *w = rng.next_u64() & rng.next_u64();
+            }
+        }
+        let snap = NetworkSnapshot::from_bytes(&snap.to_bytes()).expect("inside the invariants");
+        let run = |fastpath| {
+            let mut sim = ReferenceSim::new(random_net(seed));
+            sim.network_mut().set_fastpath(fastpath);
+            sim.restore(&snap);
+            sim.run(TICKS, &mut driving_source(seed));
+            (sim.network().state_digest(), sim.outputs().digest())
+        };
+        assert_eq!(run(true), run(false), "seed {seed:#x}");
+    }
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn chip_rewind_and_forward_restore_match_reference() {
     let defects_mirror_disabled = |chip: &TrueNorthSim| {
         let net = chip.network();
         net.cores().iter().all(|c| {
-            chip.policy()
+            chip.accounting()
                 .mesh
                 .defects
                 .is_defective(net.coord_of(c.id()))
@@ -167,9 +167,9 @@ fn chip_rewind_and_forward_restore_match_reference() {
     let mut chip = TrueNorthSim::new(net());
     chip.attach_faults(&plan);
     chip.run(40, &mut NullSource);
-    assert_eq!(chip.policy().mesh.defects.count(), 1);
+    assert_eq!(chip.accounting().mesh.defects.count(), 1);
     chip.restore(&before);
-    assert_eq!(chip.policy().mesh.defects.count(), 0);
+    assert_eq!(chip.accounting().mesh.defects.count(), 0);
     assert!(defects_mirror_disabled(&chip));
     chip.run(5, &mut NullSource);
     assert_eq!(chip.network().state_digest(), at_25, "rewound chip");
@@ -178,7 +178,7 @@ fn chip_rewind_and_forward_restore_match_reference() {
     let mut fresh = TrueNorthSim::new(net());
     fresh.attach_faults(&plan);
     fresh.restore(&after);
-    assert_eq!(fresh.policy().mesh.defects.count(), 1);
+    assert_eq!(fresh.accounting().mesh.defects.count(), 1);
     assert!(defects_mirror_disabled(&fresh));
     fresh.run(5, &mut NullSource);
     assert_eq!(
