@@ -64,9 +64,11 @@ pub struct NeuronConfig {
     pub neg_saturate: bool,
     /// Reset mode `γ`.
     pub reset_mode: ResetMode,
-    /// Reset value `R`.
+    /// Reset value `R`. Like every value written to the potential, it is
+    /// saturated to the 20-bit range.
     pub reset: i32,
-    /// Initial membrane potential at configuration time.
+    /// Initial membrane potential at configuration time, saturated to the
+    /// 20-bit range when the core is built.
     pub initial_potential: i32,
     /// Where this neuron's spikes go.
     pub dest: Dest,
@@ -177,7 +179,7 @@ impl NeuronConfig {
         let alpha = self.threshold as i64 + eta;
         if (v as i64) >= alpha {
             let nv = match self.reset_mode {
-                ResetMode::Absolute => self.reset,
+                ResetMode::Absolute => clamp_potential(self.reset as i64),
                 ResetMode::Linear => clamp_potential(v as i64 - alpha),
                 ResetMode::None => v,
             };

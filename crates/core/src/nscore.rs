@@ -109,14 +109,14 @@ impl NeurosynapticCore {
     /// seed and the core's dense id so that identical configurations
     /// reproduce identical runs.
     pub fn new(id: CoreId, cfg: CoreConfig, network_seed: u64) -> Self {
-        let potentials = Box::new(std::array::from_fn(|j| cfg.neurons[j].initial_potential));
+        let vinit = |j: usize| crate::clamp_potential(cfg.neurons[j].initial_potential as i64);
         let columns = transpose(&cfg.crossbar);
         let fast = FastPath::build(true, &cfg, &columns[..]);
         NeurosynapticCore {
             id,
+            potentials: Box::new(std::array::from_fn(vinit)),
             cfg,
             columns,
-            potentials,
             delay: Box::new(DelayBuffer::new()),
             prng: CorePrng::for_core(network_seed, id.0 as u64),
             disabled: false,

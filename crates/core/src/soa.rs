@@ -202,7 +202,7 @@ impl SoaPlanes {
             p.leak_sgn[j] = n.leak.signum() as i8;
             p.rev[j] = n.leak_reversal as i8;
             p.alpha[j] = n.threshold.min(ALPHA_CAP);
-            p.reset[j] = n.reset;
+            p.reset[j] = crate::clamp_potential(n.reset as i64);
             p.m_lin[j] = (n.reset_mode == crate::neuron::ResetMode::Linear) as i8;
             p.m_none[j] = (n.reset_mode == crate::neuron::ResetMode::None) as i8;
             p.neg_beta[j] = if n.neg_threshold > 0 {

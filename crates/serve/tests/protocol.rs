@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tn_core::wire::{self, Wire};
 use tn_core::{
     modelfile, CoreConfig, CoreId, Crossbar, Dest, LintConfig, Network, NetworkBuilder,
-    NeuronConfig, ScheduledSource, NEURONS_PER_CORE,
+    NeuronConfig, ResetMode, ScheduledSource, NEURONS_PER_CORE, POTENTIAL_MAX,
 };
 use tn_serve::protocol::{frame, OP_ADOPT_SESSION, OP_CREATE_SESSION, OP_PING};
 use tn_serve::{
@@ -544,6 +544,49 @@ fn unrunnable_snapshots_are_rejected_and_the_shard_keeps_ticking() {
         match client.stats(name).unwrap() {
             Response::StatsData(s) => assert_eq!(s.tick, tick, "{name}"),
             other => panic!("{other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn models_with_out_of_range_vinit_and_reset_checkpoint_and_restore() {
+    // `vinit` and reset values beyond the 20-bit range load and run; the
+    // kernel saturates them, so every checkpoint such a session takes is
+    // one the decoder accepts.
+    let mut b = NetworkBuilder::new(1, 1, 42);
+    let mut c = CoreConfig::new();
+    *c.crossbar = Crossbar::from_fn(|i, j| i == j);
+    for j in 0..NEURONS_PER_CORE {
+        c.neurons[j] = NeuronConfig {
+            reset_mode: [ResetMode::Absolute, ResetMode::None][j % 2],
+            reset: [2_000_000, -2_000_000][j % 2],
+            initial_potential: [i32::MAX, i32::MIN, POTENTIAL_MAX + 1][j % 3],
+            dest: Dest::Output(j as u32),
+            ..NeuronConfig::lif(1, 1)
+        };
+    }
+    b.add_core(c);
+    let net = b.build();
+    let (server, mut client) = spawn(|c| c.max_speed = true);
+    client
+        .set_io_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let model = ModelSource::Model(modelfile::save(&net));
+    for (name, engine) in [("ref", Engine::Reference), ("chip", Engine::Chip)] {
+        client
+            .create_session(name, engine, Pace::MaxSpeed, model.clone())
+            .unwrap();
+        client.inject(name, &trace(12)).unwrap();
+        for ticks in [0, 12] {
+            if ticks > 0 {
+                assert_eq!(client.run_for(name, ticks).unwrap(), Response::Ok);
+            }
+            let bytes = match client.snapshot(name).unwrap() {
+                Response::SnapshotData { bytes } => bytes,
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(client.restore(name, bytes).unwrap(), Response::Ok, "{name}");
         }
     }
     server.shutdown();

@@ -214,3 +214,28 @@ fn kill_after_a_checkpoint_between_heal_snapshots_heals_from_the_older_anchor() 
     let script = [(12, Op::Checkpoint), (13, Op::Lose(1))];
     assert_script_heals(&every_8(), 24, &script, ShardedSession::kill_worker);
 }
+
+/// `vinit` and reset values beyond the 20-bit range are saturated by the
+/// kernel, so the heal snapshots, the assembled checkpoint and the
+/// session restore of such a model all decode, and a lost worker heals.
+#[test]
+fn a_model_with_out_of_range_vinit_and_reset_heals() {
+    let net = || {
+        common::stochastic_net_with(4, 2, 51, |j, n| {
+            n.initial_potential = [i32::MAX, i32::MIN, 0][j % 3];
+            n.reset = [0, 3_000_000, -3_000_000][j % 3];
+        })
+    };
+    let script = [
+        (10, Op::Checkpoint),
+        (11, Op::Lose(1)),
+        (14, Op::RestoreLast),
+        (16, Op::Lose(0)),
+    ];
+    let mut reference = ReferenceSim::new(net());
+    let expect = scripted_run(&mut reference, 24, &script, |_, _| {});
+    let mut sim = ShardedSession::launch(net(), &every_8()).expect("launch");
+    let got = scripted_run(&mut sim, 24, &script, ShardedSession::kill_worker);
+    assert!(sim.heals() >= 2, "heals = {}", sim.heals());
+    assert_eq!(expect, got);
+}

@@ -14,6 +14,16 @@ use tn_core::{
 /// `tn-compass` equivalence fixture), with every 16th neuron routed to
 /// an output port so spike transcripts get exercised too.
 pub fn stochastic_net(w: u16, h: u16, seed: u64) -> Network {
+    stochastic_net_with(w, h, seed, |_, _| {})
+}
+
+/// [`stochastic_net`] with `tweak(j, neuron)` applied to every neuron.
+pub fn stochastic_net_with(
+    w: u16,
+    h: u16,
+    seed: u64,
+    tweak: fn(usize, &mut NeuronConfig),
+) -> Network {
     let mut b = NetworkBuilder::new(w, h, seed);
     let num = (w as u32 * h as u32) as usize;
     for c in 0..num {
@@ -34,6 +44,7 @@ pub fn stochastic_net(w: u16, h: u16, seed: u64) -> Network {
                     1 + ((j + c) % 15) as u8,
                 ));
             }
+            tweak(j, &mut cfg.neurons[j]);
         }
         b.add_core(cfg);
     }

@@ -411,6 +411,84 @@ fn every_snapshot_that_decodes_runs_identically_fast_and_scalar() {
     }
 }
 
+/// One core whose `vinit` and reset values lie beyond the 20-bit range,
+/// across every reset mode. Neither the model file nor the builder
+/// refuses them.
+fn out_of_range_net() -> Network {
+    let wild = [
+        i32::MAX,
+        i32::MIN,
+        POTENTIAL_MAX + 1,
+        POTENTIAL_MIN - 1,
+        2_000_000,
+    ];
+    let mut c = CoreConfig::new();
+    *c.crossbar = Crossbar::from_fn(|i, j| (i + j) % 3 == 0);
+    for j in 0..256 {
+        let n = &mut c.neurons[j];
+        n.weights = [3, -2, 1, -4];
+        n.leak = [0, 2, -2][j % 3];
+        n.threshold = [1, 5, 40][j % 3];
+        n.neg_threshold = [0, 30][j % 2];
+        n.neg_saturate = j % 4 < 2;
+        n.reset_mode = [ResetMode::Absolute, ResetMode::Linear, ResetMode::None][j % 3];
+        n.reset = wild[j % 5];
+        n.initial_potential = wild[(j / 5) % 5];
+        n.dest = Dest::Output(j as u32);
+    }
+    let mut b = NetworkBuilder::new(1, 1, 5);
+    b.add_core(c);
+    b.build()
+}
+
+#[test]
+fn out_of_range_vinit_and_reset_saturate_so_every_checkpoint_decodes() {
+    // The kernel saturates every write to a potential, the configured
+    // `vinit` and reset value included, so each reachable state lies
+    // inside the snapshot decode invariant: checkpoints decode, restore
+    // and resume on both paths, and the fast paths match the scalar oracle.
+    let net = || tn_core::modelfile::load(&tn_core::modelfile::save(&out_of_range_net())).unwrap();
+    let source = || {
+        let mut s = ScheduledSource::new();
+        for t in 0..TICKS {
+            for k in 0..12 {
+                s.push(t, CoreId(0), ((t * 37 + k * 19) % 256) as u8);
+            }
+        }
+        s
+    };
+    let half = TICKS / 2;
+    let mut ends = Vec::new();
+    for fastpath in [true, false] {
+        let mut sim = ReferenceSim::new(net());
+        sim.network_mut().set_fastpath(fastpath);
+        let mut src = source();
+        let mut mid = None;
+        for t in 0..TICKS {
+            let snap = NetworkSnapshot::from_bytes(&sim.checkpoint().to_bytes())
+                .unwrap_or_else(|e| panic!("tick {t}, fastpath {fastpath}: {e}"));
+            if t == half {
+                mid = Some(snap);
+            }
+            sim.run(1, &mut src);
+        }
+        let end = (sim.network().state_digest(), sim.outputs().digest());
+        assert!(!sim.outputs().is_empty(), "the probe network must fire");
+        // Resume from the mid-run checkpoint in a fresh engine.
+        let mut resumed = ReferenceSim::new(net());
+        resumed.network_mut().set_fastpath(fastpath);
+        resumed.restore(&mid.unwrap());
+        resumed.run(TICKS - half, &mut source());
+        assert_eq!(
+            resumed.network().state_digest(),
+            end.0,
+            "fastpath {fastpath}"
+        );
+        ends.push(end);
+    }
+    assert_eq!(ends[0], ends[1], "fast paths and scalar oracle part");
+}
+
 #[test]
 fn prng_draw_accounting_is_identical_across_thread_counts() {
     // TickStats::prng_draws is a per-run delta summed over cores; the
